@@ -272,8 +272,8 @@ def suite_rebalance(scale: float) -> dict:
     ``tail.count_updates_per_insert`` — policy_on must stay below
     policy_off over the last quarter of the ops — plus the final skew
     ratio.  The pause seconds record what each online split/merge
-    round actually cost the writer (never stop-the-world; the threaded
-    tests prove uninvolved writers don't wait at all).
+    round cost the writer: under ``ConcurrentLTree`` every writer
+    waits out one split/merge, which holds the writer mutex.
     """
     from repro.core.sharded import RebalancePolicy, ShardedCompactLTree
 
@@ -352,9 +352,10 @@ def suite_concurrent(scale: float) -> dict:
 
     * **writer scaling** — the same insert budget spread over 1, 2 and
       4 threads on disjoint shard sets of one ``ConcurrentDocument``
-      (WAL group commit on).  Raw ops/sec are machine-bound and — under
-      the GIL — thread scaling measures lock overhead, not parallel
-      CPU; the number worth watching is how little 4 threads *lose*.
+      (WAL group commit on).  The engine serializes every op under one
+      writer mutex, so this measures the cost of hand-offs between
+      threads, not parallel CPU; the number worth watching is how
+      little 4 threads *lose*.
     * **group commit** — the per-op-fsync vs one-fsync-per-batch ratio
       on a ``sync=True`` WAL: the whole economic argument for group
       commit, as a speedup.

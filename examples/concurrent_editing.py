@@ -3,13 +3,13 @@
 Run:  python examples/concurrent_editing.py
 
 The sharded engine localizes every update to one arena; the
-`repro.concurrent` service turns that into an actual multi-writer
-document with incremental durability:
+`repro.concurrent` service makes it a thread-safe document with
+incremental durability:
 
 1. **two writer threads** edit disjoint shards of one
-   ``ConcurrentDocument`` in parallel (per-shard write locks — they
-   never wait on each other) while every op is appended to a CRC'd
-   write-ahead log under group commit;
+   ``ConcurrentDocument`` (the engine applies their ops one at a time
+   under its writer mutex, in arrival order) while every op is
+   appended to a CRC'd write-ahead log under group commit;
 2. **a snapshot reader** queries labels/order the whole time with zero
    locks, off immutable per-shard byte images;
 3. a **checkpoint** folds the log into the page store (one atomic
@@ -59,7 +59,7 @@ def reader(doc, stop, out):
 def main() -> None:
     directory = tempfile.mkdtemp()
 
-    # -- 1 + 2: parallel writers, concurrent snapshot reader ----------
+    # -- 1 + 2: two writer threads, concurrent snapshot reader ---------
     doc = ConcurrentDocument.create(directory, params=PARAMS,
                                     n_shards=2, group_commit=32)
     handles = doc.bulk_load([f"token{i}" for i in range(64)])

@@ -3,16 +3,13 @@
 The L-Tree's defining property — an update relabels only within one
 subtree — became mechanically checkable in the sharded engine
 (:class:`repro.core.sharded.ShardedCompactLTree`: every op writes
-exactly one arena).  This package turns that isolation into an actual
-multi-writer, incrementally durable service:
+exactly one arena).  This package makes that engine shareable between
+threads and incrementally durable:
 
-* :mod:`repro.concurrent.locks` — a per-shard reader–writer lock table
-  plus the global latch stop-the-world operations take;
 * :mod:`repro.concurrent.engine` — :class:`ConcurrentLTree`, the
-  thread-safe engine wrapper (writers to different shards run in
-  parallel; the only global critical section is the O(1) directory
-  stride bump) with zero-lock :class:`LabelSnapshot` reads pinned from
-  immutable per-shard byte images;
+  thread-safe engine wrapper: one writer mutex serializes every access
+  to the live engine, and :class:`LabelSnapshot` reads, pinned from
+  immutable per-shard byte images, take no lock at all;
 * :mod:`repro.concurrent.service` — :class:`ConcurrentDocument`, the
   WAL-backed service: every logical op is appended to a
   :class:`repro.storage.wal.WriteAheadLog` under group commit,
@@ -22,7 +19,6 @@ multi-writer, incrementally durable service:
 """
 
 from repro.concurrent.engine import ConcurrentLTree, LabelSnapshot
-from repro.concurrent.locks import RWLock, ShardLockTable
 from repro.concurrent.service import ConcurrentDocument, apply_logged_op
 from repro.core.sharded import RebalancePolicy
 
@@ -30,8 +26,6 @@ __all__ = [
     "ConcurrentLTree",
     "LabelSnapshot",
     "RebalancePolicy",
-    "RWLock",
-    "ShardLockTable",
     "ConcurrentDocument",
     "apply_logged_op",
 ]

@@ -1,66 +1,54 @@
-"""Thread-safe multi-writer wrapper over the sharded L-Tree engine.
+"""Thread-safe wrapper over the sharded L-Tree engine.
 
 :class:`ConcurrentLTree` exposes the same surface as
 :class:`repro.core.sharded.ShardedCompactLTree` (so the
 ``ltree-sharded`` scheme adapter and the document layer run over it
-unchanged) and adds the three concurrency properties the engine's
-shard-locality makes cheap:
+unchanged) and makes it safe to share between threads:
 
-* **parallel writers** — every routed update takes the global latch in
-  *shared* mode plus its one shard's write lock, so writers anchored in
-  different shards never wait on each other.  The engine's own inline
-  stride bump is deferred (``defer_directory_growth``); when an update
-  grows its shard past the directory height, the O(1) bump runs under a
-  single *directory latch* while the grown shard's write lock is still
-  held — the only global critical section on the write path, and no
-  reader can compose that shard's labels with the stale stride because
-  its lock is taken;
-* **consistent bulk reads** — ``labels()`` / ``label_map()`` acquire
-  every shard's read lock (ascending id) before reading the stride,
-  so the composed sequence is one consistent cut;
-* **zero-lock snapshot reads** — :meth:`snapshot` pins, per shard, the
+* **one writer mutex** — every access to the live engine (routed
+  updates and point reads, multi-shard reads, the snapshot pin,
+  ``bulk_load`` / ``compact`` / ``save`` / ``validate``, each
+  split/merge) holds one mutex, which serves waiting threads in
+  arrival order (:class:`_FifoLock`).  Under the GIL, writers on
+  different shards could only overlap in IO that releases it, and the
+  WAL fsync of ``ConcurrentDocument.commit`` already runs outside the
+  mutex.  An update and the stride bump it may cause share one hold,
+  so the engine grows its directory inline, exactly as it does
+  single-threaded;
+* **lock-free snapshot reads** — :meth:`snapshot` pins, per shard, the
   immutable payload-free byte image the lazy-reopen path already serves
   (:meth:`~repro.core.sharded.ShardedCompactLTree.shard_image`), cached
-  per shard version so an unchanged shard is pinned for free.  The
-  resulting :class:`LabelSnapshot` answers label / order / containment
-  queries against live writers without taking any lock.
+  per shard version so an unchanged shard is pinned for free.  Only the
+  pin takes the mutex; the resulting :class:`LabelSnapshot` answers
+  label / order / containment queries against live writers without
+  taking any lock.
 
-**Online rebalancing** rides the same locks.  :meth:`split_shard` /
-:meth:`merge_shards` take the latch *shared* plus only the involved
-shards' write locks — never stop-the-world — and commit the engine's
-new directory epoch under the directory latch, journaling a logical
-``split``/``merge`` record *before* the new shards become visible (so
-the WAL tape can never order an op on a new shard ahead of its
-creation).  Writers to uninvolved shards proceed throughout; a writer
-whose handle names a just-retired shard re-resolves it through the
-engine's forwarding table and retries against the successor — the
-resolve → lock → recheck loop in :meth:`_routed`.  A pinned
-:class:`LabelSnapshot` is entirely unaffected: it holds its own
+**Online rebalancing.**  :meth:`split_shard` / :meth:`merge_shards`
+hold the mutex for the whole action and journal a logical
+``split``/``merge`` record *before* the engine installs the new
+directory epoch (so the WAL tape can never order an op on a new shard
+ahead of its creation).  A writer whose handle names a retired shard
+routes through the engine's forwarding table to its successor.  A
+pinned :class:`LabelSnapshot` is entirely unaffected: it holds its own
 directory cut (ids, positions, stride, images) plus the grow-only
 forwarding table, so a rebalance committing under it changes nothing it
 can observe.
 
-Whole-structure operations — ``bulk_load`` (the shard set is rebuilt),
-``compact``, ``save``, ``validate``, materializing enumerations that
-include tombstones — take the latch exclusively (stop the world).
-
 An optional ``journal`` callable receives one dict per successful
-mutation *while the shard write lock is still held*, so the journal's
-global order restricted to any one shard equals that shard's actual
-apply order — the property that makes a serial replay of the merged
-tape deterministic (see :mod:`repro.concurrent.service`, which plugs
-the write-ahead log in here).
+mutation *while the mutex is still held*, so the journal's record order
+equals the engine's apply order — the property that makes a serial
+replay of the tape deterministic (see :mod:`repro.concurrent.service`,
+which plugs the write-ahead log in here).
 """
 
 from __future__ import annotations
 
-import inspect
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Optional, Sequence
 
-from repro.concurrent.locks import ShardLockTable
 from repro.obs import METRICS, TRACER
 from repro.core.params import LTreeParams
 from repro.core.sharded import (RebalancePolicy, _Shard,
@@ -253,54 +241,108 @@ class LabelSnapshot:
                 f"stride={self.stride}, epoch={self.epoch})")
 
 
+class _FifoLock:
+    """The writer mutex: a lock that serves blocked threads in arrival
+    order.
+
+    A plain ``threading.Lock`` starves its waiters under the GIL: a
+    thread blocked in ``acquire`` sleeps in the kernel, while the
+    thread that just released the lock still holds the GIL and takes
+    the lock back long before the sleeper runs — one busy writer keeps
+    it for its whole burst while every other writer, and a rebalancer,
+    waits.  Here an uncontended acquire costs one ``_guard`` round
+    trip, and a release with threads waiting hands the lock straight to
+    the longest waiter, each parked on its own gate.  Not reentrant.
+    """
+
+    def __init__(self) -> None:
+        self._guard = threading.Lock()
+        self._held = False
+        self._gates: deque[threading.Lock] = deque()
+
+    def __enter__(self) -> None:
+        with self._guard:
+            if not self._held:
+                self._held = True
+                return
+            gate = threading.Lock()
+            gate.acquire()
+            self._gates.append(gate)
+        try:
+            gate.acquire()      # released by the owner handing over
+        except BaseException:
+            with self._guard:
+                if gate in self._gates:
+                    self._gates.remove(gate)
+                    raise
+            self.__exit__()     # handed over meanwhile: pass it on
+            raise
+
+    def __exit__(self, *exc_info: object) -> None:
+        with self._guard:
+            if self._gates:
+                self._gates.popleft().release()
+            else:
+                self._held = False
+
+
+@contextmanager
+def _timed(lock: _FifoLock) -> Iterator[None]:
+    """Hold ``lock``, recording the acquire's wait in
+    ``engine.lock_wait.seconds``."""
+    start = time.perf_counter()
+    with lock:
+        METRICS.observe("engine.lock_wait.seconds",
+                        time.perf_counter() - start)
+        yield
+
+
 class ConcurrentLTree:
-    """Per-shard-locked, snapshot-readable sharded engine (module doc).
+    """Mutex-guarded, snapshot-readable sharded engine (module doc).
 
     Parameters
     ----------
     engine:
         The sharded engine to guard.  It is adopted: direct use of the
-        raw engine afterwards bypasses the locks.
+        raw engine afterwards bypasses the mutex.
     journal:
         Optional callable receiving one op dict per successful
-        mutation, invoked under the mutated shard's write lock.
+        mutation, invoked under the mutex.
     """
 
     def __init__(self, engine: ShardedCompactLTree,
                  journal: Optional[Callable[[dict], Any]] = None):
         self._engine = engine
         self._journal = journal
-        engine.defer_directory_growth = True
-        self._locks = ShardLockTable(engine.shard_ids)
-        #: serializes every directory write — stride bumps and
-        #: rebalance commits — the global critical section.  Installed
-        #: into the engine so its split/merge commits run under it.
-        self._directory_latch = threading.Lock()
-        engine.directory_mutex = self._directory_latch
-        self._versions: dict[int, int] = {sid: 0
-                                          for sid in engine.shard_ids}
+        #: the writer mutex every live-engine access holds (not
+        #: reentrant — see :meth:`exclusive`)
+        self._lock = _FifoLock()
+        self._versions: dict[int, int] = dict.fromkeys(engine.shard_ids, 0)
         #: shard id -> labeled writes applied; always on (one dict
-        #: increment under the shard's already-held write lock) because
+        #: increment under the already-held mutex) because
         #: workload-aware rebalancing reads it — see :meth:`write_counts`
-        self._write_counts: dict[int, int] = {sid: 0
-                                              for sid in engine.shard_ids}
+        self._write_counts: dict[int, int] = dict.fromkeys(
+            engine.shard_ids, 0)
         #: shard id -> (version, image, live, meta) pinned-image cache
         self._image_cache: dict[int, tuple] = {}
-        #: stop-the-world stride bumps performed (mirrors the engine's
-        #: ``directory_rebuilds`` but counted by the wrapper)
-        self.stride_bumps = 0
         #: test seam: called at named points inside split/merge while
-        #: their locks are held (e.g. ``("split:locked", shard_id)``) —
-        #: the writer-isolation tests park a rebalance here and prove
-        #: uninvolved shards' writers sail past it
+        #: the mutex is held (e.g. ``("split:locked", shard_id)``) — the
+        #: rebalance tests park an action here to freeze it mid-flight
         self.rebalance_hook: Optional[Callable[..., Any]] = None
+
+    def _locked(self):
+        """The mutex as a context manager; while metrics are on its
+        acquire wait feeds ``engine.lock_wait.seconds``."""
+        if METRICS.enabled:
+            return _timed(self._lock)
+        return self._lock
 
     # ------------------------------------------------------------------
     # engine passthrough metadata
     # ------------------------------------------------------------------
     @property
     def engine(self) -> ShardedCompactLTree:
-        """The wrapped engine (lock-free access; callers beware)."""
+        """The wrapped engine (unguarded access; callers beware)."""
         return self._engine
 
     @property
@@ -365,11 +407,11 @@ class ConcurrentLTree:
 
     @property
     def n_leaves(self) -> int:
-        with self._locks.read_all():
+        with self._locked():
             return self._engine.n_leaves
 
     def tombstone_count(self) -> int:
-        with self._locks.read_all():
+        with self._locked():
             return self._engine.tombstone_count()
 
     def has_shard(self, shard_id: int) -> bool:
@@ -381,165 +423,85 @@ class ConcurrentLTree:
 
     def shard_report(self) -> list[dict]:
         """Per-shard occupancy rows under a consistent read cut."""
-        with self._locks.read_all():
+        with self._locked():
             return self._engine.shard_report()
 
     # ------------------------------------------------------------------
-    # write path (latch shared + one shard exclusive)
+    # write path
     # ------------------------------------------------------------------
-    @contextmanager
-    def _routed(self, handle: tuple[int, int],
-                write: bool = True) -> Iterator[tuple[int, tuple[int,
-                                                                 int]]]:
-        """Resolve → lock → recheck loop for one routed op.
-
-        Resolves the handle through the engine's forwarding table,
-        locks the target shard, then re-checks it is still in the
-        directory: a rebalance that retired it between the resolve and
-        the acquire makes the check fail, the lock is dropped and the
-        resolve retried against the successor shard.  Ids are never
-        reused, so a shard that passes the recheck under its held lock
-        provably stays in the directory for the critical section —
-        membership changes to it would need this very lock.  Yields
-        ``(shard_id, resolved_handle)``.
-        """
-        engine = self._engine
-        locks = self._locks
-        with locks.latch.read():
-            while True:
-                sid, slot = engine.resolve_handle(handle)
-                lock = locks.lock_for(sid)
-                if lock is None:
-                    # retired between resolve and lookup (commit in
-                    # flight); the forwarding entry is already there
-                    continue
-                if METRICS.enabled:
-                    t0 = time.perf_counter()
-                    if write:
-                        lock.acquire_write()
-                    else:
-                        lock.acquire_read()
-                    METRICS.observe("engine.lock_wait.seconds",
-                                    time.perf_counter() - t0)
-                elif write:
-                    lock.acquire_write()
-                else:
-                    lock.acquire_read()
-                if engine.has_shard(sid):
-                    break
-                if write:
-                    lock.release_write()
-                else:
-                    lock.release_read()
-            try:
-                yield sid, (sid, slot)
-            finally:
-                if write:
-                    lock.release_write()
-                else:
-                    lock.release_read()
-
-    @contextmanager
-    def _edge_write(self, last: bool) -> Iterator[int]:
-        """Write lock on the current first/last shard; yields its id.
-
-        The id is resolved under the latch and re-checked under its
-        lock, so an ``append`` racing a split of the tail shard locks
-        the shard the engine will actually route to — never a stale
-        one.
-        """
-        engine = self._engine
-        locks = self._locks
-        with locks.latch.read():
-            while True:
-                ids = engine.shard_ids
-                sid = ids[-1] if last else ids[0]
-                lock = locks.lock_for(sid)
-                if lock is None:
-                    continue
-                if METRICS.enabled:
-                    t0 = time.perf_counter()
-                    lock.acquire_write()
-                    METRICS.observe("engine.lock_wait.seconds",
-                                    time.perf_counter() - t0)
-                else:
-                    lock.acquire_write()
-                ids = engine.shard_ids
-                if (ids[-1] if last else ids[0]) == sid:
-                    break
-                lock.release_write()
-            try:
-                yield sid
-            finally:
-                lock.release_write()
-
-    def _after_write(self, shard_id: int, op: Optional[dict]) -> None:
-        """Version bump, journaling, and the deferred stride bump — all
-        while the caller still holds shard ``shard_id``'s write lock."""
+    def _after_write(self, shard_id: int, op: dict) -> None:
+        """Version bump, write count and journal record of one update
+        (the caller holds the mutex)."""
         self._versions[shard_id] += 1
-        counts = self._write_counts
-        counts[shard_id] = counts.get(shard_id, 0) + 1
-        if op is not None and self._journal is not None:
+        self._write_counts[shard_id] += 1
+        if self._journal is not None:
             self._journal(op)
-        if self._engine.needs_directory_growth(shard_id):
-            with self._directory_latch:
-                if self._engine.grow_directory(shard_id):
-                    self.stride_bumps += 1
 
     def insert_after(self, handle: tuple[int, int],
                      payload: Any) -> tuple[int, int]:
-        with self._routed(handle) as (sid, resolved):
+        with self._locked():
+            resolved = self._engine.resolve_handle(handle)
             leaf = self._engine.insert_after(resolved, payload)
-            self._after_write(sid, {"op": "insert_after",
-                                    "h": list(resolved), "p": payload})
+            self._after_write(resolved[0], {"op": "insert_after",
+                                            "h": list(resolved),
+                                            "p": payload})
             return leaf
 
     def insert_before(self, handle: tuple[int, int],
                       payload: Any) -> tuple[int, int]:
-        with self._routed(handle) as (sid, resolved):
+        with self._locked():
+            resolved = self._engine.resolve_handle(handle)
             leaf = self._engine.insert_before(resolved, payload)
-            self._after_write(sid, {"op": "insert_before",
-                                    "h": list(resolved), "p": payload})
+            self._after_write(resolved[0], {"op": "insert_before",
+                                            "h": list(resolved),
+                                            "p": payload})
             return leaf
 
     def append(self, payload: Any) -> tuple[int, int]:
-        with self._edge_write(last=True) as sid:
+        with self._locked():
             leaf = self._engine.append(payload)
-            self._after_write(sid, {"op": "append", "p": payload})
+            self._after_write(leaf[0], {"op": "append", "p": payload})
             return leaf
 
     def prepend(self, payload: Any) -> tuple[int, int]:
-        with self._edge_write(last=False) as sid:
+        with self._locked():
             leaf = self._engine.prepend(payload)
-            self._after_write(sid, {"op": "prepend", "p": payload})
+            self._after_write(leaf[0], {"op": "prepend", "p": payload})
             return leaf
 
     def insert_run_after(self, handle: tuple[int, int],
                          payloads: Sequence[Any]) -> list[tuple[int, int]]:
         items = list(payloads)
-        with self._routed(handle) as (sid, resolved):
+        with self._locked():
+            resolved = self._engine.resolve_handle(handle)
             leaves = self._engine.insert_run_after(resolved, items)
-            self._after_write(sid, {"op": "insert_run_after",
-                                    "h": list(resolved), "ps": items})
+            self._after_write(resolved[0], {"op": "insert_run_after",
+                                            "h": list(resolved),
+                                            "ps": items})
             return leaves
 
     def insert_run_before(self, handle: tuple[int, int],
                           payloads: Sequence[Any]
                           ) -> list[tuple[int, int]]:
         items = list(payloads)
-        with self._routed(handle) as (sid, resolved):
+        with self._locked():
+            resolved = self._engine.resolve_handle(handle)
             leaves = self._engine.insert_run_before(resolved, items)
-            self._after_write(sid, {"op": "insert_run_before",
-                                    "h": list(resolved), "ps": items})
+            self._after_write(resolved[0], {"op": "insert_run_before",
+                                            "h": list(resolved),
+                                            "ps": items})
             return leaves
 
     def mark_deleted(self, handle: tuple[int, int]) -> None:
-        with self._routed(handle) as (sid, resolved):
+        with self._locked():
+            resolved = self._engine.resolve_handle(handle)
             self._engine.mark_deleted(resolved)
-            self._after_write(sid, {"op": "delete", "h": list(resolved)})
+            self._after_write(resolved[0], {"op": "delete",
+                                            "h": list(resolved)})
 
     def set_payload(self, handle: tuple[int, int], payload: Any) -> None:
-        with self._routed(handle) as (_sid, resolved):
+        with self._locked():
+            resolved = self._engine.resolve_handle(handle)
             self._engine.set_payload(resolved, payload)
             # payloads never touch labels: no version bump (snapshots
             # stay valid), but the op is journaled for recovery
@@ -550,14 +512,13 @@ class ConcurrentLTree:
     def bulk_load(self, payloads: Sequence[Any],
                   boundaries: Optional[Sequence[int]] = None
                   ) -> list[tuple[int, int]]:
-        """Rebuild the shard set — necessarily stop-the-world."""
+        """Rebuild the shard set; invalidates handles like the engine's."""
         items = list(payloads)
-        with self._locks.exclusive():
+        with self._locked():
             handles = self._engine.bulk_load(items, boundaries=boundaries)
-            self._locks.set_shards(self._engine.shard_ids)
-            self._versions = {sid: 1 for sid in self._engine.shard_ids}
-            self._write_counts = {sid: 0
-                                  for sid in self._engine.shard_ids}
+            ids = self._engine.shard_ids
+            self._versions = dict.fromkeys(ids, 1)
+            self._write_counts = dict.fromkeys(ids, 0)
             self._image_cache.clear()
             if self._journal is not None:
                 self._journal({
@@ -567,12 +528,12 @@ class ConcurrentLTree:
             return handles
 
     def compact(self, params: Optional[LTreeParams] = None):
-        """Stop-the-world vacuum; invalidates handles like the engine's.
+        """Vacuum tombstones; invalidates handles like the engine's.
 
         Not journaled: callers checkpoint right after (the slot
         remapping cannot be replayed against pre-compact handles).
         """
-        with self._locks.exclusive():
+        with self._locked():
             mapping = self._engine.compact(params)
             self._versions = {sid: version + 1 for sid, version
                               in self._versions.items()}
@@ -580,135 +541,80 @@ class ConcurrentLTree:
             return mapping
 
     # ------------------------------------------------------------------
-    # online rebalancing (latch shared + involved shards exclusive)
+    # online rebalancing
     # ------------------------------------------------------------------
     def _fire_hook(self, stage: str, *args: Any) -> None:
         hook = self.rebalance_hook
         if hook is not None:
             hook(stage, *args)
 
+    def _replace_shards(self, old: Sequence[int],
+                        new: Sequence[int]) -> None:
+        """Retire a split/merge's input shards, start its outputs."""
+        for sid in old:
+            self._versions.pop(sid, None)
+            self._write_counts.pop(sid, None)
+            self._image_cache.pop(sid, None)
+        for sid in new:
+            self._versions[sid] = 1
+            self._write_counts[sid] = 0
+
     def split_shard(self, shard_id: int, at_leaf: int,
                     new_ids: Optional[Sequence[int]] = None
                     ) -> tuple[int, int]:
         """Split one shard online; returns the two new shard ids.
 
-        Holds the latch *shared* and only ``shard_id``'s write lock:
-        writers and readers of every other shard are completely
-        unaffected (the writer-isolation tests prove it).  The engine
-        commit — new directory epoch, forwarding entries — runs under
-        the directory latch; the WAL record and the new shards' locks
-        are installed by ``on_commit`` *before* the new ids become
-        visible, so no racing writer can touch (or journal against) a
-        new shard ahead of its creation record.
+        Holds the mutex for the whole action, so every writer waits for
+        it; one whose handle names ``shard_id`` then lands in a new
+        shard through the engine's forwarding table.  The WAL record is
+        journaled by ``on_commit`` *before* the new ids become visible,
+        and a journal failure abandons the split with the directory
+        untouched.
         """
-        engine = self._engine
-        locks = self._locks
-        with locks.latch.read():
-            lock = locks.lock_for(shard_id)
-            if lock is None:
+        with self._locked():
+            if not self._engine.has_shard(shard_id):
                 raise ValueError(f"no shard with id {shard_id}")
-            lock.acquire_write()
-            try:
-                if not engine.has_shard(shard_id):
-                    raise ValueError(f"no shard with id {shard_id}")
-                self._fire_hook("split:locked", shard_id)
-                granted: list[int] = []
+            self._fire_hook("split:locked", shard_id)
 
-                def on_commit(ids: tuple[int, ...]) -> None:
-                    granted.extend(ids)
-                    locks.add_shards(ids)
-                    for sid in ids:
-                        self._versions[sid] = 1
-                        self._write_counts[sid] = 0
-                    if self._journal is not None:
-                        self._journal({"op": "split", "id": shard_id,
-                                       "at": at_leaf, "new": list(ids)})
-                    failpoint("concurrent:split:post-journal",
-                              shard_id=shard_id, new_ids=ids)
+            def on_commit(ids: tuple[int, ...]) -> None:
+                if self._journal is not None:
+                    self._journal({"op": "split", "id": shard_id,
+                                   "at": at_leaf, "new": list(ids)})
+                failpoint("concurrent:split:post-journal",
+                          shard_id=shard_id, new_ids=ids)
 
-                try:
-                    new_ids = engine.split_shard(shard_id, at_leaf,
-                                                 new_ids=new_ids,
-                                                 on_commit=on_commit)
-                except BaseException:
-                    # an on_commit journal failure aborts before the
-                    # directory swap: retract the half-registered ids
-                    locks.drop_shards(granted)
-                    for sid in granted:
-                        self._versions.pop(sid, None)
-                        self._write_counts.pop(sid, None)
-                    raise
-                self._versions.pop(shard_id, None)
-                self._write_counts.pop(shard_id, None)
-                self._image_cache.pop(shard_id, None)
-                locks.drop_shards((shard_id,))
-                self._fire_hook("split:committed", shard_id, new_ids)
-                return new_ids
-            finally:
-                lock.release_write()
+            new_ids = self._engine.split_shard(shard_id, at_leaf,
+                                               new_ids=new_ids,
+                                               on_commit=on_commit)
+            self._replace_shards((shard_id,), new_ids)
+            self._fire_hook("split:committed", shard_id, new_ids)
+            return new_ids
 
     def merge_shards(self, id_a: int, id_b: int,
                      new_id: Optional[int] = None) -> int:
         """Merge two adjacent shards online; returns the new shard id.
 
-        Same isolation contract as :meth:`split_shard`, holding both
-        involved shards' write locks (acquired in ascending id, the
-        table-wide order, so concurrent rebalances cannot deadlock).
+        Same contract as :meth:`split_shard`.
         """
-        engine = self._engine
-        locks = self._locks
         first, second = sorted((id_a, id_b))
-        with locks.latch.read():
-            lock_a = locks.lock_for(first)
-            lock_b = locks.lock_for(second)
-            if lock_a is None or lock_b is None:
-                missing = first if lock_a is None else second
-                raise ValueError(f"no shard with id {missing}")
-            lock_a.acquire_write()
-            try:
-                lock_b.acquire_write()
-                try:
-                    if not (engine.has_shard(first) and
-                            engine.has_shard(second)):
-                        missing = first if not engine.has_shard(first) \
-                            else second
-                        raise ValueError(f"no shard with id {missing}")
-                    self._fire_hook("merge:locked", first, second)
-                    granted: list[int] = []
+        with self._locked():
+            for sid in (first, second):
+                if not self._engine.has_shard(sid):
+                    raise ValueError(f"no shard with id {sid}")
+            self._fire_hook("merge:locked", first, second)
 
-                    def on_commit(sid: int) -> None:
-                        granted.append(sid)
-                        locks.add_shards((sid,))
-                        self._versions[sid] = 1
-                        self._write_counts[sid] = 0
-                        if self._journal is not None:
-                            self._journal({"op": "merge", "a": id_a,
-                                           "b": id_b, "new": sid})
-                        failpoint("concurrent:merge:post-journal",
-                                  id_a=id_a, id_b=id_b, new_id=sid)
+            def on_commit(sid: int) -> None:
+                if self._journal is not None:
+                    self._journal({"op": "merge", "a": id_a, "b": id_b,
+                                   "new": sid})
+                failpoint("concurrent:merge:post-journal",
+                          id_a=id_a, id_b=id_b, new_id=sid)
 
-                    try:
-                        new_id = engine.merge_shards(id_a, id_b,
-                                                     new_id=new_id,
-                                                     on_commit=on_commit)
-                    except BaseException:
-                        locks.drop_shards(granted)
-                        for sid in granted:
-                            self._versions.pop(sid, None)
-                            self._write_counts.pop(sid, None)
-                        raise
-                    for sid in (first, second):
-                        self._versions.pop(sid, None)
-                        self._write_counts.pop(sid, None)
-                        self._image_cache.pop(sid, None)
-                    locks.drop_shards((first, second))
-                    self._fire_hook("merge:committed", first, second,
-                                    new_id)
-                    return new_id
-                finally:
-                    lock_b.release_write()
-            finally:
-                lock_a.release_write()
+            new_id = self._engine.merge_shards(id_a, id_b, new_id=new_id,
+                                               on_commit=on_commit)
+            self._replace_shards((first, second), (new_id,))
+            self._fire_hook("merge:committed", first, second, new_id)
+            return new_id
 
     def write_counts(self) -> dict[int, int]:
         """Labeled writes applied per live shard since load/creation.
@@ -719,34 +625,25 @@ class ConcurrentLTree:
         rates.  A shard's count resets when it is created (split/merge
         child, bulk_load) and is retired with the shard.
         """
-        while True:
-            try:
-                return dict(self._write_counts)
-            except RuntimeError:    # resized by a racing split/merge
-                continue
+        with self._locked():
+            return dict(self._write_counts)
 
     def rebalance(self, policy: Optional[RebalancePolicy] = None,
                   max_rounds: int = 4) -> list[dict]:
-        """Plan (under a read cut) and apply rebalance actions online.
+        """Plan and apply rebalance actions online.
 
-        Each action locks only its involved shards; an action that
-        loses a race to a concurrent writer's rebalance (its shard id
-        vanished) is simply skipped and the next round re-plans from a
-        fresh report.  A policy whose ``plan`` accepts a ``workload``
-        keyword is fed :meth:`write_counts`, so hot shards split on
-        write pressure before occupancy alone would trigger.  Returns
-        the actions performed.
+        Each action holds the mutex on its own, so writers proceed
+        between actions; an action whose shard a concurrent rebalance
+        already retired is skipped and the next round re-plans from a
+        fresh report.  The policy is fed :meth:`write_counts`, so hot
+        shards split on write pressure before occupancy alone would
+        trigger.  Returns the actions performed.
         """
         policy = policy or RebalancePolicy()
-        takes_workload = "workload" in inspect.signature(
-            policy.plan).parameters
         performed: list[dict] = []
         for _ in range(max_rounds):
-            if takes_workload:
-                actions = policy.plan(self.shard_report(),
-                                      workload=self.write_counts())
-            else:
-                actions = policy.plan(self.shard_report())
+            actions = policy.plan(self.shard_report(),
+                                  workload=self.write_counts())
             if not actions:
                 break
             applied = 0
@@ -787,70 +684,61 @@ class ConcurrentLTree:
     def num(self, handle: tuple[int, int]) -> int:
         """Point read of one global label.
 
-        Consistent with concurrent writers of *other* shards only in
-        the sense that each call composes with a stride valid for its
-        own shard; for a mutually consistent label set use
-        :meth:`labels`, :meth:`label_map` or :meth:`snapshot`.
+        Each call is atomic against writers, but two calls are not a
+        consistent cut: a write, split or stride bump may land between
+        them.  For a mutually consistent label set use :meth:`labels`,
+        :meth:`label_map` or :meth:`snapshot`.
         """
-        with self._routed(handle, write=False) as (_sid, resolved):
-            return self._engine.num(resolved)
+        with self._locked():
+            return self._engine.num(handle)
 
     def is_deleted(self, handle: tuple[int, int]) -> bool:
-        with self._routed(handle, write=False) as (_sid, resolved):
-            return self._engine.is_deleted(resolved)
+        with self._locked():
+            return self._engine.is_deleted(handle)
 
     def payload(self, handle: tuple[int, int]) -> Any:
-        # may materialize a lazy shard — a structural write
-        with self._routed(handle) as (_sid, resolved):
-            return self._engine.payload(resolved)
+        with self._locked():
+            return self._engine.payload(handle)
 
     def is_leaf(self, handle: tuple[int, int]) -> bool:
-        with self._routed(handle) as (_sid, resolved):
-            return self._engine.is_leaf(resolved)
+        with self._locked():
+            return self._engine.is_leaf(handle)
 
     def find_leaf(self, num: int) -> Optional[tuple[int, int]]:
-        with self._locks.exclusive():
+        with self._locked():
             return self._engine.find_leaf(num)
 
     def labels(self, include_deleted: bool = True) -> list[int]:
-        if include_deleted:
-            # tombstoned slots live only in materialized structure
-            with self._locks.exclusive():
-                return self._engine.labels(True)
-        with self._locks.read_all():
-            return self._engine.labels(False)
+        with self._locked():
+            return self._engine.labels(include_deleted)
 
     def label_map(self) -> dict[tuple[int, int], int]:
-        with self._locks.read_all():
+        with self._locked():
             return self._engine.label_map()
 
     def iter_leaves(self, include_deleted: bool = True
                     ) -> Iterator[tuple[int, int]]:
-        if include_deleted:
-            with self._locks.exclusive():
-                return iter(list(self._engine.iter_leaves(True)))
-        with self._locks.read_all():
-            return iter(list(self._engine.iter_leaves(False)))
+        with self._locked():
+            return iter(list(self._engine.iter_leaves(include_deleted)))
 
     def payloads(self, include_deleted: bool = True) -> list[Any]:
-        with self._locks.exclusive():
+        with self._locked():
             return self._engine.payloads(include_deleted)
 
     # ------------------------------------------------------------------
-    # snapshots (epoch-pinned, zero-lock reads)
+    # snapshots (pinned under the mutex, read lock-free)
     # ------------------------------------------------------------------
     def snapshot(self) -> LabelSnapshot:
         """Pin a consistent, immutable label view of every shard.
 
-        Blocks writers only for the pin itself (all shard read locks at
-        once); shards unchanged since the last snapshot reuse their
-        cached image, so a snapshot between writes costs a few dict
-        lookups.  The returned object never touches this engine again —
-        rebalances committing after the pin are invisible to it.
+        Holds the mutex only for the pin; shards unchanged since the
+        last snapshot reuse their cached image, so a snapshot between
+        writes costs a few dict lookups.  The returned object never
+        touches this engine again — rebalances committing after the
+        pin are invisible to it.
         """
         engine = self._engine
-        with self._locks.read_all():
-            # membership cannot move while every shard is read-held
+        with self._locked():
             ids = engine.shard_ids
             stride = engine.stride
             forwarding = engine._forwarding
@@ -870,23 +758,23 @@ class ConcurrentLTree:
                              forwarding, epoch)
 
     # ------------------------------------------------------------------
-    # persistence and validation (stop-the-world)
+    # persistence and validation
     # ------------------------------------------------------------------
     def exclusive(self):
-        """Stop-the-world context: every routed op and read excluded.
+        """The mutex, for multi-step maintenance that must be atomic
+        against writers *as a whole*.
 
-        For multi-step maintenance that must be atomic against writers
-        *as a whole* — a ``ConcurrentDocument`` checkpoint holds this
-        across watermark capture, engine save and WAL truncate, acting
-        on :attr:`engine` directly (the locks are not reentrant, so the
-        wrapper's own locked methods cannot be used inside).
+        A ``ConcurrentDocument`` checkpoint holds this across watermark
+        capture, engine save and WAL truncate, acting on :attr:`engine`
+        directly (the mutex is not reentrant, so the wrapper's own
+        methods cannot be used inside).
         """
-        return self._locks.exclusive()
+        return self._locked()
 
     def save(self, store: Any, name: str = "scheme",
              include_payloads: bool = True,
              extra_blobs: Optional[dict[str, bytes]] = None) -> None:
-        with self._locks.exclusive():
+        with self._locked():
             self._engine.save(store, name,
                               include_payloads=include_payloads,
                               extra_blobs=extra_blobs)
@@ -902,7 +790,7 @@ class ConcurrentLTree:
         return cls(engine, journal=journal)
 
     def validate(self, check_occupancy: bool = False) -> None:
-        with self._locks.exclusive():
+        with self._locked():
             self._engine.validate(check_occupancy)
 
     def __repr__(self) -> str:

@@ -1,23 +1,22 @@
-"""`ConcurrentDocument`: the WAL-backed, multi-writer document service.
+"""`ConcurrentDocument`: the WAL-backed, thread-safe document service.
 
 Composition of the three durability/concurrency pieces this package and
 :mod:`repro.storage` provide:
 
 * in memory, a :class:`repro.concurrent.engine.ConcurrentLTree` — the
-  per-shard-locked sharded engine with zero-lock snapshot reads;
+  mutex-guarded sharded engine with lock-free snapshot reads;
 * on disk, a :class:`repro.storage.pages.PageStore` holding the last
   **checkpoint** (one ``LTREEARR`` image per shard + manifest, exactly
   a ``ShardedCompactLTree.save``) and a
   :class:`repro.storage.wal.WriteAheadLog` holding every logical op
   since that checkpoint, under group commit.
 
-**Determinism.**  Every mutation is journaled *under its shard's write
-lock*, so the WAL's global record order restricted to one shard equals
-that shard's actual apply order; ops on different shards are
-shard-local and commute.  A serial replay of the merged tape therefore
-reproduces the concurrent execution's final state bit-for-bit — labels,
-slot layout, free lists, stride (which is recomputed from shard heights
-as replay grows them).  This is the property the threaded differential
+**Determinism.**  Every mutation is journaled *under the engine's
+writer mutex*, so the WAL's record order equals the order the engine
+applied the ops in.  A serial replay of the tape therefore reproduces
+the concurrent execution's final state bit-for-bit — labels, slot
+layout, free lists, stride (which is recomputed from shard heights as
+replay grows them).  This is the property the threaded differential
 harness in ``tests/concurrent`` checks across seeds.
 
 **Recovery** (:meth:`open`) = open the last checkpoint (shard-lazily),
@@ -93,7 +92,7 @@ FAILPOINTS.declare("service:checkpoint:pre-save",
 FAILPOINTS.declare("service:checkpoint:post-save",
                    "image + watermark flipped, WAL not yet truncated")
 FAILPOINTS.declare("service:checkpoint:post-truncate",
-                   "WAL truncated, latch not yet released")
+                   "WAL truncated, writer mutex not yet released")
 FAILPOINTS.declare("service:rebalance:post-actions",
                    "split/merge journaled, WAL batch not yet committed")
 
@@ -145,14 +144,15 @@ def apply_logged_op(engine: Any, op: dict) -> None:
 
 
 class ConcurrentDocument:
-    """A durable, multi-writer ordered document over sharded arenas.
+    """A durable, thread-safe ordered document over sharded arenas.
 
     Use the classmethods: :meth:`create` starts a fresh service in a
     directory, :meth:`open` recovers an existing one (checkpoint +
     WAL tail).  All mutating methods are thread-safe and may be called
-    from many writer threads; writers anchored in different shards run
-    in parallel.  :meth:`snapshot` gives readers an immutable label
-    view they can query with zero locks against the writers.
+    from many writer threads; the engine applies them one at a time
+    under its writer mutex, while :meth:`commit`'s fsync runs outside
+    it.  :meth:`snapshot` gives readers an immutable label view they
+    can query with zero locks against the writers.
 
     Durability knobs: ``group_commit`` auto-commits the WAL every N
     ops; :meth:`commit` forces the batch out (one fsync under
@@ -360,7 +360,7 @@ class ConcurrentDocument:
                    meta=meta, rebalance_policy=rebalance_policy)
 
     # ------------------------------------------------------------------
-    # logical ops (thread-safe; journaled under the shard lock)
+    # logical ops (thread-safe; journaled under the writer mutex)
     # ------------------------------------------------------------------
     def bulk_load(self, payloads: Sequence[Any],
                   boundaries: Optional[Sequence[int]] = None
@@ -432,8 +432,8 @@ class ConcurrentDocument:
                   ) -> list[dict]:
         """Run the rebalance policy online; returns actions performed.
 
-        Each split/merge locks only its involved shards — writers to
-        every other shard proceed throughout — and journals a logical
+        Each split/merge holds the writer mutex on its own — writers
+        proceed between actions — and journals a logical
         ``split``/``merge`` record *before* the new shards become
         visible, so recovery replays the rebalance deterministically
         (or skips it wholesale if the record never made it out: the
@@ -475,8 +475,8 @@ class ConcurrentDocument:
         """Fold the WAL into the page store; returns the watermark.
 
         Stop-the-world for its *whole* duration — watermark capture,
-        engine save and WAL truncate all happen under one exclusive
-        hold of the latch, so no writer can journal an op between the
+        engine save and WAL truncate all happen under one hold of the
+        writer mutex, so no writer can journal an op between the
         watermark read and the truncate (which would silently erase a
         committed record the image does not contain), or sneak an op
         into the saved image with a sequence number above the
@@ -510,7 +510,7 @@ class ConcurrentDocument:
                     meta["checkpoint_unix"] = round(time.time(), 3)
                     failpoint("service:checkpoint:pre-save",
                               watermark=watermark)
-                    # the raw engine: the latch is held (not reentrant)
+                    # the raw engine: the mutex is held (not reentrant)
                     self.tree.engine.save(
                         self.store, SCHEME_BLOB,
                         include_payloads=include_payloads,

@@ -328,10 +328,9 @@ class RebalancePolicy:
 
     * **size skew** — one arena holding far more live leaves than the
       mean loses the h-term update discount sharding buys (its local
-      relabels pay the tall shard's height) and serializes writers that
-      could run in parallel.  A shard whose live count exceeds
-      ``max_ratio`` × the mean (and ``min_split_leaves``) is split at
-      its physical midpoint;
+      relabels pay the tall shard's height).  A shard whose live count
+      exceeds ``max_ratio`` × the mean (and ``min_split_leaves``) is
+      split at its physical midpoint;
     * **tombstone load** — an arena that is mostly tombstones scans and
       serializes dead slots.  A shard past ``tombstone_ratio`` that is
       also undersized becomes a merge candidate, folding it into an
@@ -343,14 +342,18 @@ class RebalancePolicy:
     count mapping such as ``ConcurrentLTree.write_counts()``):
 
     * **write heat** — a shard absorbing more than ``hot_write_ratio``
-      × the mean write count is a lock-contention point *before* it is
-      an occupancy problem (every writer routed there serializes on one
-      RW lock).  It is split at its midpoint even though its live count
+      × the mean write count is where the next inserts land, so it is
+      the arena that will grow tall *before* it is an occupancy
+      problem, and every insert routed there pays its height in the
+      h-term.  It is split at its midpoint even though its live count
       alone would not trigger, spreading the hot key range over two
-      locks.
+      short arenas.
 
     ``plan`` returns non-overlapping actions (each shard appears in at
     most one), so an applier can perform them all and re-plan.
+    ``max_shards`` caps the directory: a checkpoint lists two blobs
+    per shard in the page store's one-page catalog, and at the default
+    32 that catalog still fits with a CRC per span.
     Deterministic: equal reports (and equal workloads) yield equal
     plans — and the applier journals the resulting split/merge records,
     so a WAL replay reproduces a workload-driven rebalance exactly
@@ -360,7 +363,7 @@ class RebalancePolicy:
     def __init__(self, max_ratio: float = 4.0,
                  min_split_leaves: int = 32,
                  tombstone_ratio: float = 0.5,
-                 max_shards: int = 64,
+                 max_shards: int = 32,
                  min_shards: int = 1,
                  hot_write_ratio: float = 4.0):
         if max_ratio <= 1.0:
@@ -470,19 +473,6 @@ class ShardedCompactLTree:
     (1, 0)
     """
 
-    #: when True, routed updates do *not* bump the stride inline; the
-    #: caller promises to call :meth:`grow_directory` itself (see that
-    #: method).  A class attribute so every construction path —
-    #: including :meth:`load`'s ``__new__`` — starts with inline growth.
-    defer_directory_growth = False
-
-    #: optional ``threading.Lock`` serializing directory *membership*
-    #: commits (split/merge) against the owner's own stride bumps; the
-    #: concurrent wrapper installs its directory latch here.  ``None``
-    #: (the single-threaded default) commits directly.  A class
-    #: attribute for the same ``__new__`` reason as above.
-    directory_mutex = None
-
     def __init__(self, params: LTreeParams, stats: Counters = NULL_COUNTERS,
                  violator_policy: str = "highest",
                  n_shards: int = DEFAULT_N_SHARDS,
@@ -587,16 +577,6 @@ class ShardedCompactLTree:
             raise ValueError(f"no shard with id {shard_id}")
         return shard
 
-    def _install(self, directory: _Directory) -> None:
-        """Swap the directory, serialized against concurrent commits
-        when a :attr:`directory_mutex` is installed."""
-        mutex = self.directory_mutex
-        if mutex is None:
-            self._dir = directory
-        else:
-            with mutex:
-                self._dir = directory
-
     def _refresh_directory(self) -> None:
         """Rebuild the directory with a recomputed stride and a +1
         epoch (bulk load, compact, load)."""
@@ -604,52 +584,14 @@ class ShardedCompactLTree:
         self._dir = _Directory(d.epoch + 1, d.ids, d.shards,
                                self.params.base)
 
-    def _grow_directory(self, shard: _Shard) -> None:
+    def _fit_stride(self, shard: _Shard) -> None:
         """Bump the stride when ``shard`` outgrew the directory height."""
-        if self.defer_directory_growth:
-            return
         d = self._dir
         if shard.height > d.height:
-            self._install(_Directory(d.epoch, d.ids, d.shards,
-                                     self.params.base,
-                                     height=shard.height,
-                                     positions=d.positions))
+            self._dir = _Directory(d.epoch, d.ids, d.shards,
+                                   self.params.base, height=shard.height,
+                                   positions=d.positions)
             self.directory_rebuilds += 1
-
-    def needs_directory_growth(self, shard_id: int) -> bool:
-        """Whether shard ``shard_id`` has outgrown the directory stride.
-
-        Only ever True under ``defer_directory_growth`` (inline growth
-        keeps the invariant continuously); the deferring caller checks
-        this after each update and performs :meth:`grow_directory`
-        under its own serialization.
-        """
-        d = self._dir
-        shard = d.shards.get(shard_id)
-        return shard is not None and shard.height > d.height
-
-    def grow_directory(self, shard_id: int) -> bool:
-        """Deferred counterpart of the inline stride bump (O(1)).
-
-        Returns True when the stride actually grew.  The caller must
-        ensure no reader composes shard ``shard_id``'s labels between
-        the update that grew it and this call — e.g. by holding that
-        shard's write lock across both — and must serialize this call
-        against other directory writers (the concurrent wrapper holds
-        its directory latch, which is also this engine's
-        :attr:`directory_mutex`, so commits cannot interleave).
-        """
-        d = self._dir
-        shard = d.shards.get(shard_id)
-        if shard is None or shard.height <= d.height:
-            return False
-        # the caller already holds the directory latch: swap directly
-        # (the mutex is not reentrant)
-        self._dir = _Directory(d.epoch, d.ids, d.shards,
-                               self.params.base, height=shard.height,
-                               positions=d.positions)
-        self.directory_rebuilds += 1
-        return True
 
     # ------------------------------------------------------------------
     # handle resolution (forwarding across epochs)
@@ -769,8 +711,8 @@ class ShardedCompactLTree:
             start += size
         self._forwarding = {}
         self._next_shard_id = len(sizes)
-        self._install(_Directory(d.epoch + 1, range(len(sizes)), shards,
-                                 self.params.base))
+        self._dir = _Directory(d.epoch + 1, range(len(sizes)), shards,
+                               self.params.base)
         return handles
 
     # ------------------------------------------------------------------
@@ -781,7 +723,7 @@ class ShardedCompactLTree:
         _d, sid, shard, slot = self._locate(handle)
         leaf = shard.materialize().insert_after(slot, payload)
         shard.write_version += 1
-        self._grow_directory(shard)
+        self._fit_stride(shard)
         return (sid, leaf)
 
     def insert_before(self, handle: Sequence[int],
@@ -789,7 +731,7 @@ class ShardedCompactLTree:
         _d, sid, shard, slot = self._locate(handle)
         leaf = shard.materialize().insert_before(slot, payload)
         shard.write_version += 1
-        self._grow_directory(shard)
+        self._fit_stride(shard)
         return (sid, leaf)
 
     def append(self, payload: Any) -> tuple[int, int]:
@@ -798,7 +740,7 @@ class ShardedCompactLTree:
         shard = d.shards[sid]
         leaf = shard.materialize().append(payload)
         shard.write_version += 1
-        self._grow_directory(shard)
+        self._fit_stride(shard)
         return (sid, leaf)
 
     def prepend(self, payload: Any) -> tuple[int, int]:
@@ -807,7 +749,7 @@ class ShardedCompactLTree:
         shard = d.shards[sid]
         leaf = shard.materialize().prepend(payload)
         shard.write_version += 1
-        self._grow_directory(shard)
+        self._fit_stride(shard)
         return (sid, leaf)
 
     def insert_run_after(self, handle: Sequence[int],
@@ -816,7 +758,7 @@ class ShardedCompactLTree:
         _d, sid, shard, slot = self._locate(handle)
         leaves = shard.materialize().insert_run_after(slot, payloads)
         shard.write_version += 1
-        self._grow_directory(shard)
+        self._fit_stride(shard)
         return [(sid, leaf) for leaf in leaves]
 
     def insert_run_before(self, handle: Sequence[int],
@@ -824,7 +766,7 @@ class ShardedCompactLTree:
         _d, sid, shard, slot = self._locate(handle)
         leaves = shard.materialize().insert_run_before(slot, payloads)
         shard.write_version += 1
-        self._grow_directory(shard)
+        self._fit_stride(shard)
         return [(sid, leaf) for leaf in leaves]
 
     def mark_deleted(self, handle: Sequence[int]) -> None:
@@ -1021,7 +963,7 @@ class ShardedCompactLTree:
                    count: int, shards: dict[int, _Shard]) -> list[int]:
         """Allocate ``count`` fresh shard ids (or adopt explicit ones —
         the WAL replay path, which must mint the ids the original run
-        minted).  Call under :attr:`directory_mutex` when concurrent."""
+        minted)."""
         if explicit is None:
             ids = list(range(self._next_shard_id,
                              self._next_shard_id + count))
@@ -1070,19 +1012,14 @@ class ShardedCompactLTree:
         shard ids (``new_ids`` fixes them explicitly — the WAL replay
         path).
 
-        Concurrency contract: the caller owns writes to ``shard_id``
-        (the concurrent wrapper holds its write lock); the directory
-        swap itself is serialized via :attr:`directory_mutex`, so other
-        shards' writers and even a concurrent rebalance of *different*
-        shards proceed untouched.  ``on_commit(new_ids)``, when given,
-        runs inside the commit — after the ids are claimed, *before*
-        the new directory becomes visible — which is where the
-        concurrent wrapper registers the new shards' locks and journals
-        the WAL record, so no op on a new shard can ever be journaled
-        ahead of the split that created it.  If it raises, the split is
-        abandoned: the directory is untouched (the claimed ids are
-        simply consumed).
+        ``on_commit(new_ids)``, when given, runs after the ids are
+        claimed and *before* the new directory becomes visible — where
+        the concurrent wrapper journals the WAL record, so no op on a
+        new shard can ever be journaled ahead of the split that created
+        it.  If it raises, the split is abandoned: the directory is
+        untouched (the claimed ids are simply consumed).
         """
+        d = self._dir
         shard = self._shard_by_id(shard_id)
         tree = shard.materialize()
         slots = list(tree.iter_leaves(include_deleted=True))
@@ -1092,40 +1029,22 @@ class ShardedCompactLTree:
                 f"(shard {shard_id} holds {len(slots)} leaves)")
         builds = [self._clone_leaf_run(tree, slots[:at_leaf]),
                   self._clone_leaf_run(tree, slots[at_leaf:])]
-        granted: list[int] = []
-
-        def commit() -> None:
-            current = self._dir
-            position = current.positions.get(shard_id)
-            if position is None:
-                raise InvariantViolation(
-                    f"shard {shard_id} vanished mid-split (caller must "
-                    f"hold its write lock)")
-            ids = self._claim_ids(new_ids, 2, current.shards)
-            granted.extend(ids)
-            if on_commit is not None:
-                on_commit(tuple(ids))
-            for (_shard, slot_map), sid in zip(builds, ids):
-                for old_slot, new_slot in slot_map.items():
-                    self._forwarding[(shard_id, old_slot)] = \
-                        (sid, new_slot)
-            order = current.ids[:position] + tuple(ids) + \
-                current.ids[position + 1:]
-            shards = dict(current.shards)
-            del shards[shard_id]
-            for (new_shard, _), sid in zip(builds, ids):
-                shards[sid] = new_shard
-            self.shard_splits += 1
-            self._dir = _Directory(current.epoch + 1, order, shards,
-                                   self.params.base)
-
-        mutex = self.directory_mutex
-        if mutex is None:
-            commit()
-        else:
-            with mutex:
-                commit()
-        return (granted[0], granted[1])
+        ids = self._claim_ids(new_ids, 2, d.shards)
+        if on_commit is not None:
+            on_commit(tuple(ids))
+        for (_shard, slot_map), sid in zip(builds, ids):
+            for old_slot, new_slot in slot_map.items():
+                self._forwarding[(shard_id, old_slot)] = (sid, new_slot)
+        position = d.positions[shard_id]
+        order = d.ids[:position] + tuple(ids) + d.ids[position + 1:]
+        shards = dict(d.shards)
+        del shards[shard_id]
+        for (new_shard, _), sid in zip(builds, ids):
+            shards[sid] = new_shard
+        self.shard_splits += 1
+        self._dir = _Directory(d.epoch + 1, order, shards,
+                               self.params.base)
+        return (ids[0], ids[1])
 
     def merge_shards(self, id_a: int, id_b: int,
                      new_id: Optional[int] = None,
@@ -1136,10 +1055,8 @@ class ShardedCompactLTree:
         positions (either order); their leaf runs — tombstones included
         — concatenate into one new arena and both old ids forward to
         it, so handles into either keep resolving.  Returns the new
-        shard id (``new_id`` fixes it — the WAL replay path).  Same
-        concurrency contract — and the same pre-visibility
-        ``on_commit(new_id)`` hook — as :meth:`split_shard`, with both
-        shards' write locks owned by the caller.
+        shard id (``new_id`` fixes it — the WAL replay path).  The same
+        pre-visibility ``on_commit(new_id)`` hook as :meth:`split_shard`.
         """
         d = self._dir
         for sid in (id_a, id_b):
@@ -1170,42 +1087,23 @@ class ShardedCompactLTree:
             if deleted:
                 merged.tree.mark_deleted(new_slot)
             maps[source][old_slot] = new_slot
-        granted: list[int] = []
-
-        def commit() -> None:
-            current = self._dir
-            pos_a = current.positions.get(id_a)
-            pos_b = current.positions.get(id_b)
-            if pos_a is None or pos_b is None or pos_b != pos_a + 1:
-                raise InvariantViolation(
-                    f"shards {id_a}/{id_b} moved mid-merge (caller "
-                    f"must hold both write locks)")
-            sid = self._claim_ids(
-                None if new_id is None else [new_id], 1,
-                current.shards)[0]
-            granted.append(sid)
-            if on_commit is not None:
-                on_commit(sid)
-            for source, slot_map in maps.items():
-                for old_slot, new_slot in slot_map.items():
-                    self._forwarding[(source, old_slot)] = (sid, new_slot)
-            order = current.ids[:pos_a] + (sid,) + \
-                current.ids[pos_b + 1:]
-            shards = dict(current.shards)
-            del shards[id_a]
-            del shards[id_b]
-            shards[sid] = merged
-            self.shard_merges += 1
-            self._dir = _Directory(current.epoch + 1, order, shards,
-                                   self.params.base)
-
-        mutex = self.directory_mutex
-        if mutex is None:
-            commit()
-        else:
-            with mutex:
-                commit()
-        return granted[0]
+        sid = self._claim_ids(None if new_id is None else [new_id], 1,
+                              d.shards)[0]
+        if on_commit is not None:
+            on_commit(sid)
+        for source, slot_map in maps.items():
+            for old_slot, new_slot in slot_map.items():
+                self._forwarding[(source, old_slot)] = (sid, new_slot)
+        position = d.positions[id_a]
+        order = d.ids[:position] + (sid,) + d.ids[position + 2:]
+        shards = dict(d.shards)
+        del shards[id_a]
+        del shards[id_b]
+        shards[sid] = merged
+        self.shard_merges += 1
+        self._dir = _Directory(d.epoch + 1, order, shards,
+                               self.params.base)
+        return sid
 
     def rebalance(self, policy: Optional[RebalancePolicy] = None,
                   max_rounds: int = 4) -> list[dict]:
@@ -1217,7 +1115,8 @@ class ShardedCompactLTree:
         recording the ids involved (the shape the concurrent service
         journals).  Single-threaded convenience; under concurrency use
         :meth:`repro.concurrent.engine.ConcurrentLTree.rebalance`,
-        which takes the involved shards' locks per action.
+        which holds its mutex per action and feeds the policy live
+        write counts.
         """
         policy = policy or RebalancePolicy()
         performed: list[dict] = []

@@ -113,7 +113,7 @@ def shard_boundaries(root: XMLElement, n_shards: int) -> Optional[list[int]]:
     with the last), shaped for the sharded engine's ``boundaries=``.
     Every top-level subtree then lives wholly inside one arena, so an
     edit under one top-level child provably writes one shard — the
-    alignment that makes multi-writer editing contention-free on real
+    alignment that keeps an edit's relabeling inside one arena on real
     documents.  Returns ``None`` when there is nothing to partition
     (no children, or one shard asked for).
     """
@@ -530,10 +530,10 @@ class LabeledDocument:
         ``concurrent=True`` (documents saved with the ``ltree-sharded``
         scheme only) wraps the restored engine in
         :class:`repro.concurrent.engine.ConcurrentLTree`: *engine-level*
-        access through ``scheme.tree`` becomes thread-safe — per-shard
-        updates from writers under different top-level subtrees run in
-        parallel, and ``scheme.tree.snapshot()`` serves zero-lock label
-        snapshots.  The DOM, this wrapper object and the scheme
+        access through ``scheme.tree`` becomes thread-safe — writer
+        threads take turns under one mutex, and
+        ``scheme.tree.snapshot()`` serves zero-lock label snapshots
+        that read alongside them.  The DOM, this wrapper object and the scheme
         adapter's own bookkeeping (``len(scheme)``, its
         deleted-handle pre-checks) stay single-threaded — multi-thread
         the engine, not the document; for WAL-backed durability use

@@ -388,6 +388,35 @@ class TestRebalanceDurability:
             assert back.tree.shard_ids == ids
             assert back.labels() == expected
 
+    def test_default_policy_shard_cap_fits_one_catalog_page(self,
+                                                            tmp_path):
+        """A directory at the default policy's ``max_shards`` — with
+        3-digit shard ids, the widest catalog names a long-running
+        service mints — checkpoints, reopens with identical labels, and
+        keeps a CRC on every catalog span."""
+        from repro.core.sharded import RebalancePolicy
+        from repro.storage.pages import PageStore
+
+        cap = RebalancePolicy().max_shards
+        doc = _service(tmp_path, n_shards=1)
+        doc.bulk_load([f"p{i}" for i in range(16 * cap)])
+        next_id = 100
+        while doc.tree.shard_count < cap:
+            fat = max(doc.shard_report(), key=lambda row: row["leaves"])
+            doc.tree.split_shard(fat["id"], fat["leaves"] // 2,
+                                 new_ids=(next_id, next_id + 1))
+            next_id += 2
+        doc.checkpoint()
+        expected = doc.labels()
+        doc.close()
+        with ConcurrentDocument.open(str(tmp_path / "svc")) as back:
+            assert back.tree.shard_count == cap
+            assert back.labels() == expected
+            back.tree.validate()
+        with PageStore(str(tmp_path / "svc" / PAGES_FILE)) as store:
+            assert store._catalog
+            assert all(len(span) == 4 for span in store._catalog.values())
+
     def test_shard_report_surfaced_on_the_service(self, tmp_path):
         doc, handles = self._skewed(tmp_path)
         report = doc.shard_report()
@@ -412,8 +441,8 @@ class TestCounters:
 class TestStaleHandlesAcrossBulkLoad:
     def test_stale_shard_rank_fails_like_engine_routing(self, tmp_path):
         """A handle minted before a bulk_load that shrank the shard set
-        must raise ValueError from the lock table's latch-guarded
-        bounds check — not IndexError off a stale lock list."""
+        must raise ValueError from the engine's handle resolution —
+        not IndexError off a stale shard list."""
         doc = _service(tmp_path)
         handles = doc.bulk_load(list(range(16)))
         stale = handles[-1]                     # shard 3
@@ -423,8 +452,8 @@ class TestStaleHandlesAcrossBulkLoad:
             doc.insert_after(stale, "x")
         with pytest.raises(ValueError, match="shard"):
             doc.label(stale)
-        # the tail append resolves its rank under the latch: lands in
-        # the *current* last shard
+        # the tail append routes under the mutex: lands in the
+        # *current* last shard
         leaf = doc.append("tail")
         assert leaf[0] == doc.tree.shard_count - 1
         doc.close()

@@ -21,10 +21,14 @@ point is that the *result* must not).
 
 import os
 import random
+import signal
+import sys
 import threading
+import time
 
 import pytest
 
+from repro.concurrent.engine import _FifoLock
 from repro.concurrent.service import ConcurrentDocument, apply_logged_op
 from repro.core.params import LTreeParams
 from repro.core.sharded import ShardedCompactLTree
@@ -232,15 +236,15 @@ class TestThreadedDifferential:
 
 
 class TestOnlineRebalance:
-    """Split/merge under live writers: never stop-the-world."""
+    """Split/merge under live writers: each action holds the writer
+    mutex while it runs, then writers route through forwarding."""
 
-    def test_parked_split_never_blocks_uninvolved_writers(self,
-                                                          tmp_path):
+    def test_parked_split_blocks_every_writer(self, tmp_path):
         """Deterministic, not statistical: the split is *parked* on an
-        event while holding shard 1's write lock.  A writer on shard 3
-        must complete while the split is frozen mid-flight; a writer on
-        shard 1 must block until the split commits, then land in one of
-        the new shards via forwarding."""
+        event while holding the mutex.  Writers on shard 3 and on the
+        split shard 1 both wait until it commits; afterwards the one
+        whose handle named shard 1 lands in a new shard via
+        forwarding."""
         doc = ConcurrentDocument.create(str(tmp_path / "svc"),
                                         params=PARAMS, n_shards=4)
         handles = doc.bulk_load([f"p{i}" for i in range(64)])
@@ -259,38 +263,29 @@ class TestOnlineRebalance:
         splitter.start()
         assert parked.wait(10), "split never reached its lock"
 
-        free_done = threading.Event()
+        written = {}
 
-        def free_writer():
-            for step in range(25):
-                doc.insert_after(handles[60], ["free", step])
-            free_done.set()
+        def writer(anchor, payload):
+            written[payload] = doc.insert_after(anchor, payload)
 
-        free = threading.Thread(target=free_writer)
-        free.start()
-        # the uninvolved writer finishes while the split holds its lock
-        assert free_done.wait(10), \
-            "writer on an uninvolved shard blocked behind the split"
-
-        blocked_done = threading.Event()
-        blocked_handle = []
-
-        def blocked_writer():
-            blocked_handle.append(
-                doc.insert_after(handles[20], "blocked"))
-            blocked_done.set()
-
-        blocked = threading.Thread(target=blocked_writer)
-        blocked.start()
-        # the involved writer genuinely waits on the split's lock
-        assert not blocked_done.wait(0.3)
+        writers = [threading.Thread(target=writer,
+                                    args=(handles[60], "other")),
+                   threading.Thread(target=writer,
+                                    args=(handles[20], "blocked"))]
+        for thread in writers:
+            thread.start()
+        # a writer on *any* shard waits on the parked split
+        writers[0].join(0.3)
+        assert all(thread.is_alive() for thread in writers), \
+            "a writer got past the parked split"
+        assert written == {}
         release.set()
-        splitter.join(10)
-        assert blocked_done.wait(10)
-        free.join(10)
-        blocked.join(10)
+        for thread in [splitter] + writers:
+            thread.join(10)
+            assert not thread.is_alive()
         tree.rebalance_hook = None
-        assert blocked_handle[0][0] in split_new   # routed via forwarding
+        assert written["other"][0] == 3
+        assert written["blocked"][0] in split_new  # routed via forwarding
         payloads = doc.tree.payloads()
         assert payloads[21] == "blocked"
         labels = doc.tree.labels()
@@ -299,8 +294,7 @@ class TestOnlineRebalance:
         doc.commit()
         doc.close()
 
-    def test_parked_merge_never_blocks_uninvolved_writers(self,
-                                                          tmp_path):
+    def test_parked_merge_blocks_every_writer(self, tmp_path):
         doc = ConcurrentDocument.create(str(tmp_path / "svc"),
                                         params=PARAMS, n_shards=4)
         handles = doc.bulk_load([f"m{i}" for i in range(64)])
@@ -318,22 +312,22 @@ class TestOnlineRebalance:
             target=lambda: merged.append(tree.merge_shards(1, 2)))
         merger.start()
         assert parked.wait(10)
-        free_done = threading.Event()
-
-        def free_writer():
-            for step in range(25):
-                doc.insert_after(handles[5], ["free", step])   # shard 0
-            free_done.set()
-
-        free = threading.Thread(target=free_writer)
-        free.start()
-        assert free_done.wait(10), \
-            "writer on an uninvolved shard blocked behind the merge"
+        written = []
+        writer = threading.Thread(
+            target=lambda: written.append(
+                doc.insert_after(handles[5], "other")))   # shard 0
+        writer.start()
+        writer.join(0.3)
+        assert writer.is_alive(), "a writer got past the parked merge"
         release.set()
-        merger.join(10)
-        free.join(10)
+        for thread in (merger, writer):
+            thread.join(10)
+            assert not thread.is_alive()
         tree.rebalance_hook = None
+        assert written[0][0] == 0
         assert tree.shard_ids == (0, merged[0], 3)
+        labels = doc.tree.labels()
+        assert labels == sorted(labels)
         doc.tree.validate()
         doc.commit()
         doc.close()
@@ -481,3 +475,96 @@ def test_snapshot_epochs_are_stable(tmp_path, seed):
     assert again.epoch == after.epoch
     assert again.labels() == after.labels()
     doc.close()
+
+
+class TestWriterMutex:
+    """The engine's one mutex: exclusive under preemption, handed over
+    in arrival order, and intact after an interrupted wait."""
+
+    def test_exclusive_under_preemption(self):
+        lock = _FifoLock()
+        counter = [0]
+
+        def bump():
+            for _ in range(500):
+                with lock:
+                    value = counter[0]
+                    counter[0] = value + 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=bump) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert counter[0] == 8 * 500
+
+    def test_waiters_served_in_arrival_order(self):
+        """A release goes to the longest waiter: the releasing thread
+        asking again at once queues behind every parked thread (a plain
+        ``threading.Lock`` lets it barge back in)."""
+        lock = _FifoLock()
+        order = []
+
+        def waiter(name):
+            with lock:
+                order.append(name)
+
+        threads = []
+        with lock:
+            for name in ("a", "b", "c"):
+                thread = threading.Thread(target=waiter, args=(name,))
+                thread.start()
+                threads.append(thread)
+                deadline = time.monotonic() + 10
+                while len(lock._gates) < len(threads):   # parked
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+        with lock:
+            order.append("releaser")
+        for thread in threads:
+            thread.join(10)
+            assert not thread.is_alive()
+        assert order == ["a", "b", "c", "releaser"]
+
+    @pytest.mark.skipif(not hasattr(signal, "setitimer"),
+                        reason="needs POSIX interval timers")
+    def test_interrupted_wait_leaves_the_lock_usable(self):
+        class Interrupted(Exception):
+            pass
+
+        def interrupt(signum, frame):
+            raise Interrupted
+
+        lock = _FifoLock()
+        held, release = threading.Event(), threading.Event()
+
+        def holder():
+            with lock:
+                held.set()
+                release.wait(10)
+
+        thread = threading.Thread(target=holder)
+        thread.start()
+        assert held.wait(10)
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.05)
+            with pytest.raises(Interrupted):
+                with lock:
+                    pass
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert not lock._gates          # the abandoned gate left the queue
+        release.set()
+        thread.join(10)
+        assert not thread.is_alive()
+        assert not lock._held           # released, not handed to a ghost
+        with lock:
+            pass

@@ -372,7 +372,7 @@ class TestPathConvenience:
 
 class TestConcurrentOpen:
     """open(..., concurrent=True): the restored sharded engine becomes
-    thread-safe (per-shard locks + zero-lock snapshots) while the
+    thread-safe (one writer mutex + zero-lock snapshots) while the
     document API keeps answering identically."""
 
     def test_concurrent_open_round_trip(self, tmp_path):
