@@ -17,8 +17,10 @@ unchanged) and makes it safe to share between threads:
   single-threaded;
 * **lock-free snapshot reads** — :meth:`snapshot` pins, per shard, the
   immutable payload-free byte image the lazy-reopen path already serves
-  (:meth:`~repro.core.sharded.ShardedCompactLTree.shard_image`), cached
-  per shard version so an unchanged shard is pinned for free.  Only the
+  (:meth:`~repro.core.sharded.ShardedCompactLTree.shard_image`).  The
+  pinned shard is cached under the engine's per-shard write version, so
+  an unchanged shard is pinned for free and a written one costs one
+  ``to_bytes`` image copy — no leaf walk, no tombstone scan.  Only the
   pin takes the mutex; the resulting :class:`LabelSnapshot` answers
   label / order / containment queries against live writers without
   taking any lock.
@@ -77,6 +79,16 @@ class LabelSnapshot:
     composing from its own directory cut — while handles minted
     *before* the pin keep resolving through the forwarding table even
     if their shard was rebalanced away pre-pin.
+
+    **What a pin pays for.**  Snapshots of one shard version share one
+    pinned shard object and its memos: the label column, decoded on the
+    first :meth:`label_column` call, and the live-leaf list.  A shard
+    written since the previous pin carries only its image; its live
+    list is walked out of the image on the first :meth:`handles`,
+    :meth:`labels` or :meth:`label_map` read — outside the writer
+    mutex, and never on the columnar query path, which reads only
+    label columns.  :attr:`n_live` comes from the pinned leaf and
+    tombstone counts.
     """
 
     __slots__ = ("params", "stride", "epoch", "ids", "_positions",
@@ -154,13 +166,16 @@ class LabelSnapshot:
         return self._positions[sid], self._shards[self._positions[sid]], \
             slot
 
-    def shard_prefix(self, shard_id: int) -> int:
-        """Global-label prefix of one pinned shard id."""
+    def _position(self, shard_id: int) -> int:
         position = self._positions.get(shard_id)
         if position is None:
             raise ValueError(f"no shard with id {shard_id} in this "
                              f"snapshot")
-        return position * self.stride
+        return position
+
+    def shard_prefix(self, shard_id: int) -> int:
+        """Global-label prefix of one pinned shard id."""
+        return self._position(shard_id) * self.stride
 
     def label(self, handle: tuple[int, int]) -> int:
         """Global label of a live handle at pin time."""
@@ -198,24 +213,20 @@ class LabelSnapshot:
                                        shard.nums_of_live()))
         return mapping
 
-    def label_columns(self, shard_id: int
-                      ) -> tuple[list[int], Sequence[int]]:
-        """``(live_slots, local_label_column)`` of one pinned shard.
+    def label_column(self, shard_id: int) -> Sequence[int]:
+        """The slot-indexed local label column of one pinned shard.
 
-        The columnar query engine's bulk-input hook: the slot-indexed
-        label column is decoded once off the frozen byte image (and
-        memoized on the shard — a pinned shard can never change), so a
-        query extracts every label it needs in one pass per shard
-        instead of one :meth:`label` call per node.  Compose the global
-        label of ``slot`` as ``shard_prefix(shard_id) + column[slot]``.
-        Like every other read on this object, this takes no locks and
-        never touches the live engine.
+        The columnar query engine's bulk-input hook: the column is
+        decoded once off the frozen byte image and memoized on the
+        pinned shard, which every snapshot of the same shard version
+        shares — so a query extracts every label it needs in one pass
+        per shard instead of one :meth:`label` call per node, and a
+        re-pin decodes only the shards written since.  Compose the
+        global label of ``slot`` as ``shard_prefix(shard_id) +
+        column[slot]``.  Like every other read on this object, this
+        takes no locks and never touches the live engine.
         """
-        position = self._positions.get(shard_id)
-        if position is None:
-            raise ValueError(f"no shard with id {shard_id} in this "
-                             f"snapshot")
-        return self._shards[position].label_columns()
+        return self._shards[self._position(shard_id)].num_column()
 
     def precedes(self, first: tuple[int, int],
                  second: tuple[int, int]) -> bool:
@@ -234,7 +245,8 @@ class LabelSnapshot:
 
     @property
     def n_live(self) -> int:
-        return sum(len(shard.live) for shard in self._shards)
+        return sum(shard.n_leaves - shard.tombstone_count()
+                   for shard in self._shards)
 
     def __repr__(self) -> str:
         return (f"LabelSnapshot(shards={len(self._shards)}, "
@@ -317,14 +329,14 @@ class ConcurrentLTree:
         #: the writer mutex every live-engine access holds (not
         #: reentrant — see :meth:`exclusive`)
         self._lock = _FifoLock()
-        self._versions: dict[int, int] = dict.fromkeys(engine.shard_ids, 0)
         #: shard id -> labeled writes applied; always on (one dict
         #: increment under the already-held mutex) because
         #: workload-aware rebalancing reads it — see :meth:`write_counts`
         self._write_counts: dict[int, int] = dict.fromkeys(
             engine.shard_ids, 0)
-        #: shard id -> (version, image, live, meta) pinned-image cache
-        self._image_cache: dict[int, tuple] = {}
+        #: shard id -> (write version, pinned shard): every snapshot of
+        #: one shard version shares the pinned shard and its memos
+        self._image_cache: dict[int, tuple[int, _Shard]] = {}
         #: test seam: called at named points inside split/merge while
         #: the mutex is held (e.g. ``("split:locked", shard_id)``) — the
         #: rebalance tests park an action here to freeze it mid-flight
@@ -426,13 +438,18 @@ class ConcurrentLTree:
         with self._locked():
             return self._engine.shard_report()
 
+    def shard_versions(self) -> dict[int, int]:
+        """``shard id -> write version`` under a consistent read cut —
+        the counters :meth:`snapshot` epochs are built from."""
+        with self._locked():
+            return self._engine.shard_versions()
+
     # ------------------------------------------------------------------
     # write path
     # ------------------------------------------------------------------
     def _after_write(self, shard_id: int, op: dict) -> None:
-        """Version bump, write count and journal record of one update
-        (the caller holds the mutex)."""
-        self._versions[shard_id] += 1
+        """Write count and journal record of one update (the caller
+        holds the mutex; the engine bumped the shard's version)."""
         self._write_counts[shard_id] += 1
         if self._journal is not None:
             self._journal(op)
@@ -516,9 +533,8 @@ class ConcurrentLTree:
         items = list(payloads)
         with self._locked():
             handles = self._engine.bulk_load(items, boundaries=boundaries)
-            ids = self._engine.shard_ids
-            self._versions = dict.fromkeys(ids, 1)
-            self._write_counts = dict.fromkeys(ids, 0)
+            self._write_counts = dict.fromkeys(self._engine.shard_ids, 0)
+            # the new shards reuse ids 0..k-1 at version 1
             self._image_cache.clear()
             if self._journal is not None:
                 self._journal({
@@ -534,11 +550,7 @@ class ConcurrentLTree:
         remapping cannot be replayed against pre-compact handles).
         """
         with self._locked():
-            mapping = self._engine.compact(params)
-            self._versions = {sid: version + 1 for sid, version
-                              in self._versions.items()}
-            self._image_cache.clear()
-            return mapping
+            return self._engine.compact(params)
 
     # ------------------------------------------------------------------
     # online rebalancing
@@ -552,11 +564,9 @@ class ConcurrentLTree:
                         new: Sequence[int]) -> None:
         """Retire a split/merge's input shards, start its outputs."""
         for sid in old:
-            self._versions.pop(sid, None)
             self._write_counts.pop(sid, None)
             self._image_cache.pop(sid, None)
         for sid in new:
-            self._versions[sid] = 1
             self._write_counts[sid] = 0
 
     def split_shard(self, shard_id: int, at_leaf: int,
@@ -731,29 +741,32 @@ class ConcurrentLTree:
     def snapshot(self) -> LabelSnapshot:
         """Pin a consistent, immutable label view of every shard.
 
-        Holds the mutex only for the pin; shards unchanged since the
-        last snapshot reuse their cached image, so a snapshot between
-        writes costs a few dict lookups.  The returned object never
-        touches this engine again — rebalances committing after the
-        pin are invisible to it.
+        Holds the mutex only for the pin.  A shard unchanged since the
+        last snapshot reuses its cached pinned shard, so a snapshot
+        between writes costs a few dict lookups; a written shard costs
+        one ``to_bytes`` image copy (see :class:`LabelSnapshot` for what
+        is deferred past the pin).  The epoch is the engine's directory
+        epoch plus its per-shard write versions.  The returned object
+        never touches this engine again — rebalances committing after
+        the pin are invisible to it.
         """
         engine = self._engine
         with self._locked():
             ids = engine.shard_ids
             stride = engine.stride
             forwarding = engine._forwarding
+            versions = engine.shard_versions()
             epoch = (engine.epoch,) + tuple(
-                (sid, self._versions[sid]) for sid in ids)
+                (sid, versions[sid]) for sid in ids)
             shards: list[_Shard] = []
             for sid in ids:
-                version = self._versions[sid]
                 cached = self._image_cache.get(sid)
-                if cached is None or cached[0] != version:
+                if cached is None or cached[0] != versions[sid]:
                     image, live, meta = engine.shard_image(sid)
-                    cached = (version, image, live, meta)
+                    cached = (versions[sid],
+                              _Shard.lazy(image, live, meta, NULL_COUNTERS))
                     self._image_cache[sid] = cached
-                shards.append(_Shard.lazy(cached[1], cached[2],
-                                          cached[3], NULL_COUNTERS))
+                shards.append(cached[1])
         return LabelSnapshot(engine.params, stride, ids, shards,
                              forwarding, epoch)
 

@@ -579,9 +579,15 @@ class CompactLTree:
         return dict(zip(live, new_leaves))
 
     def tombstone_count(self) -> int:
-        """Number of marked-deleted leaves still occupying label slots."""
-        deleted = self._deleted
-        return sum(1 for leaf in self.iter_leaves() if deleted[leaf])
+        """Number of marked-deleted leaves still occupying label slots.
+
+        One C-level count over the tombstone column: only leaves are
+        ever marked (:meth:`mark_deleted` refuses internal nodes), leaf
+        slots are never returned to the free-list, and a recycled slot
+        is unmarked on reuse.  :meth:`validate` re-derives the count by
+        walking the leaves and checks the two agree.
+        """
+        return self._deleted.count(1)
 
     # ------------------------------------------------------------------
     # bulk loading (paper §2.2)
@@ -1393,7 +1399,8 @@ class CompactLTree:
 
         Same checks as :meth:`repro.core.ltree.LTree.validate`, performed
         iteratively, plus array-storage consistency (no free slot
-        reachable from the root).
+        reachable from the root, and the O(1) :meth:`tombstone_count`
+        equal to the tombstoned leaves a walk finds).
         """
         if self._num[self.root] != 0:
             raise InvariantViolation(
@@ -1465,6 +1472,12 @@ class CompactLTree:
             if left >= right:
                 raise InvariantViolation(
                     f"labels not strictly increasing: {left} >= {right}")
+        deleted = self._deleted
+        walked = sum(1 for leaf in self.iter_leaves() if deleted[leaf])
+        if walked != self.tombstone_count():
+            raise InvariantViolation(
+                f"{walked} tombstoned leaves reachable, but the tombstone "
+                f"column marks {self.tombstone_count()} slots")
 
 
 def _pack_int64(values: Sequence[int]) -> bytes:

@@ -83,7 +83,6 @@ queries and single-subtree edits touches one arena, not all of them.
 
 from __future__ import annotations
 
-import inspect
 import json
 import operator
 import struct
@@ -126,14 +125,16 @@ class _Shard:
 
     __slots__ = ("tree", "stats", "image", "header", "live", "pending",
                  "meta_height", "meta_n_leaves", "meta_tombstones",
-                 "_num_column", "write_version", "_columns_cache")
+                 "_num_column", "write_version")
 
     def __init__(self, tree: Optional[CompactLTree], stats: Counters):
         self.tree = tree
         self.stats = stats
         self.image: Any = None
         self.header = None
-        #: live leaf slots in document order (lazy shards only)
+        #: live leaf slots in document order (lazy shards only; ``None``
+        #: until first needed when pinned without one — see
+        #: :meth:`live_leaves`)
         self.live: Optional[Sequence[int]] = None
         #: payloads reattached while lazy, applied on materialization
         self.pending: dict[int, Any] = {}
@@ -141,21 +142,17 @@ class _Shard:
         #: (a lazy shard is immutable, so this can never go stale)
         self._num_column: Optional[array] = None
         #: bumped by the engine on every label-affecting mutation of
-        #: this arena (inserts, runs, tombstones) — the dirty-shard
-        #: signal incremental columnar consumers key their caches on.
-        #: Fresh arenas (bulk load, split/merge products) restart at 1.
+        #: this arena (inserts, runs, tombstones, compaction) — the
+        #: dirty-shard signal snapshot epochs and incremental columnar
+        #: consumers key their caches on.  Fresh arenas (bulk load,
+        #: split/merge products) restart at 1.
         self.write_version = 1
-        #: ``(write_version, live_slots, num_column)`` memo backing
-        #: :meth:`label_columns`; invalidated by the version bump, so a
-        #: repeated bulk extraction of an unchanged shard is two dict
-        #: reads instead of an O(n) live-slot walk + column decode
-        self._columns_cache: Optional[tuple] = None
         self.meta_height = 0
         self.meta_n_leaves = 0
         self.meta_tombstones = 0
 
     @classmethod
-    def lazy(cls, image: Any, live: Sequence[int], meta: dict,
+    def lazy(cls, image: Any, live: Optional[Sequence[int]], meta: dict,
              stats: Counters) -> "_Shard":
         shard = cls(None, stats)
         shard.image = image
@@ -208,11 +205,26 @@ class _Shard:
         return bool(memoryview(self.image)
                     [self.header.deleted_offset + slot])
 
+    def live_leaves(self) -> Sequence[int]:
+        """Live leaf slots of a lazy shard, in document order.
+
+        A shard pinned without its live list (a snapshot of a written
+        arena, see :meth:`ShardedCompactLTree.shard_image`) walks a
+        throwaway decode of its own image on the first read that needs
+        the list, and keeps the result — the image never changes.
+        """
+        live = self.live
+        if live is None:
+            walk = CompactLTree.from_bytes(self.image).iter_leaves(
+                include_deleted=False)
+            live = self.live = array("q", walk)
+        return live
+
     def live_slots(self) -> Iterator[int]:
         """Live leaf slots in document order (no materialization)."""
         if self.tree is not None:
             return self.tree.iter_leaves(include_deleted=False)
-        return iter(self.live)
+        return iter(self.live_leaves())
 
     def num_column(self) -> Sequence[int]:
         """The full slot-indexed local label column, bulk-decoded.
@@ -237,21 +249,6 @@ class _Shard:
             self._num_column = column
         return column
 
-    def label_columns(self) -> tuple[list[int], Sequence[int]]:
-        """``(live_slots, num_column)`` memoized on the write version.
-
-        The bulk-extraction pair every columnar consumer wants; caching
-        both under :attr:`write_version` means an unchanged shard never
-        repeats the live-slot walk or the column decode.
-        """
-        cached = self._columns_cache
-        if cached is not None and cached[0] == self.write_version:
-            return cached[1], cached[2]
-        live = list(self.live_slots())
-        column = self.num_column()
-        self._columns_cache = (self.write_version, live, column)
-        return live, column
-
     def nums_of_live(self) -> list[int]:
         """Labels of the live leaves, bulk-decoded for lazy shards."""
         if self.tree is not None:
@@ -259,7 +256,7 @@ class _Shard:
             return [num[slot] for slot in
                     self.tree.iter_leaves(include_deleted=False)]
         column = self.num_column()
-        return [column[slot] for slot in self.live]
+        return [column[slot] for slot in self.live_leaves()]
 
     def arena_bytes(self) -> int:
         """Byte size of this arena's payload-free ``LTREEARR`` image.
@@ -845,31 +842,17 @@ class ShardedCompactLTree:
         return [self.payload(handle)
                 for handle in self.iter_leaves(include_deleted)]
 
-    def label_columns(self, shard_id: int
-                      ) -> tuple[list[int], Sequence[int]]:
-        """``(live_slots, local_label_column)`` of one shard, in bulk.
-
-        The columnar query engine's input hook
-        (:mod:`repro.query.columnar`): the slot-indexed local label
-        column comes off the shard's flat storage in one decode — a
-        lazy shard stays lazy — and the global label of ``slot`` is
-        ``shard_prefix(shard_id) + column[slot]``.  One call per shard
-        replaces one :meth:`num` round trip per node.  Both halves are
-        memoized on the shard's :meth:`shard_version`, so re-extracting
-        an unchanged arena costs two dict reads.
-        """
-        return self._shard_by_id(shard_id).label_columns()
-
     def shard_version(self, shard_id: int) -> int:
         """Write version of one arena (bumps on every label-affecting
-        mutation; fresh split/merge/bulk-load products restart at 1)."""
+        mutation and on :meth:`compact`; fresh split/merge/bulk-load
+        products restart at 1)."""
         return self._shard_by_id(shard_id).write_version
 
     def shard_versions(self) -> dict[int, int]:
         """``shard id -> write version`` for the whole directory — the
         engine-level dirty-shard report incremental columnar consumers
-        diff between extractions (the concurrent wrapper's snapshot
-        epoch serves the same role on the lock-free path)."""
+        diff between extractions (the concurrent wrapper builds its
+        snapshot epochs from the same counters)."""
         d = self._dir
         return {sid: d.shards[sid].write_version for sid in d.ids}
 
@@ -1151,31 +1134,40 @@ class ShardedCompactLTree:
         O(1) because global labels are composed on read.  Like the flat
         engine's compact, this invalidates outstanding handles (the
         returned mapping is the bridge); the forwarding table is reset
-        with them.
+        with them.  Every shard's write version is bumped: each slot
+        was rewritten.
         """
         if params is not None:
             self.params = params
         d = self._dir
         mapping: dict[tuple[int, int], tuple[int, int]] = {}
         for sid in d.ids:
-            local = d.shards[sid].materialize().compact(params)
+            shard = d.shards[sid]
+            local = shard.materialize().compact(params)
+            shard.write_version += 1
             mapping.update(((sid, old), (sid, new))
                            for old, new in local.items())
         self._forwarding = {}
         self._refresh_directory()
         return mapping
 
-    def shard_image(self, shard_id: int) -> tuple[Any, list[int], dict]:
-        """``(label image, live leaf slots, shape meta)`` of one shard.
+    def shard_image(self, shard_id: int
+                    ) -> tuple[Any, Optional[Sequence[int]], dict]:
+        """``(label image, live leaf slots or None, shape meta)``.
 
         The image is the same payload-free ``LTREEARR`` byte image the
-        lazy-reopen path serves label reads from; a still-lazy shard
-        hands back its existing image with **zero** copies or
-        deserialization.  This is the pinning hook snapshot readers use
-        (:meth:`repro.concurrent.engine.ConcurrentLTree.snapshot`): the
-        returned triple is immutable with respect to later writes, so a
-        reader can answer label/order/containment queries off it with
-        no locks against live writers.
+        lazy-reopen path serves label reads from.  A still-lazy shard
+        hands back its existing image and sidecar live list with no
+        deserialization.  A materialized shard costs one
+        :meth:`CompactLTree.to_bytes` copy and no leaf walk: its live
+        list comes back ``None``, and a :class:`_Shard` pinned from the
+        triple derives it from the image only if a reader asks for it
+        (:meth:`_Shard.live_leaves`).  The meta — height, leaf and
+        tombstone counts — is O(1).  This is the pinning hook snapshot
+        readers use (:meth:`repro.concurrent.engine.ConcurrentLTree
+        .snapshot`): the returned triple is immutable with respect to
+        later writes, so a reader can answer label/order/containment
+        queries off it with no locks against live writers.
         """
         shard = self._shard_by_id(shard_id)
         meta = {"height": shard.height, "n_leaves": shard.n_leaves,
@@ -1188,10 +1180,8 @@ class ShardedCompactLTree:
                 # would mutate (or tear) the "immutable" pin under a
                 # zero-lock reader.  The pin must own its bytes.
                 image = bytes(image)
-            return image, list(shard.live), meta
-        return (shard.tree.to_bytes(include_payloads=False),
-                list(shard.tree.iter_leaves(include_deleted=False)),
-                meta)
+            return image, shard.live, meta
+        return shard.tree.to_bytes(include_payloads=False), None, meta
 
     # ------------------------------------------------------------------
     # persistence (one LTREEARR blob span per shard + manifest)
@@ -1210,16 +1200,15 @@ class ShardedCompactLTree:
         as this tree would.  On a store with batched puts
         (:meth:`PageStore.put_blobs`) the whole save — arenas,
         sidecars, manifest, stale-shard cleanup — lands under one
-        atomic catalog flip; with ``reclaim`` (the default, honored
-        when the store supports it) the flip also reclaims superseded
-        spans and never overwrites a page the *previous* catalog
-        references, so a crash at any byte of the save — including
-        mid-rebalance — reopens bit-identically on the old epoch.  On a
-        plain ``put_blob`` store the manifest is written last, so a
-        reader never sees it pointing at *missing* blobs; there the
-        in-place span rewrite window remains, which is why every
-        manifest entry carries a CRC32 of its image and sidecar and
-        :meth:`load` fails loudly on a mismatch instead of
+        atomic catalog flip; with ``reclaim`` (the default) the flip
+        also reclaims superseded spans and never overwrites a page the
+        *previous* catalog references, so a crash at any byte of the
+        save — including mid-rebalance — reopens bit-identically on the
+        old epoch.  On a plain ``put_blob`` store the manifest is
+        written last, so a reader never sees it pointing at *missing*
+        blobs; there the in-place span rewrite window remains, which is
+        why every manifest entry carries a CRC32 of its image and
+        sidecar and :meth:`load` fails loudly on a mismatch instead of
         deserializing torn bytes.
 
         A still-lazy shard is copied image-for-image without
@@ -1254,7 +1243,7 @@ class ShardedCompactLTree:
                     shard.materialize()
             if shard.is_lazy:
                 raw = bytes(shard.image)
-                live = list(shard.live)
+                live = shard.live_leaves()
             else:
                 raw = shard.tree.to_bytes(
                     include_payloads=include_payloads)
@@ -1326,11 +1315,7 @@ class ShardedCompactLTree:
             # drops become visible atomically (and under sync=True the
             # whole save costs one fsync pair, not one per blob)
             puts[name] = manifest_raw
-            if reclaim and "reclaim" in inspect.signature(
-                    store.put_blobs).parameters:
-                store.put_blobs(puts, delete=stale, reclaim=True)
-            else:
-                store.put_blobs(puts, delete=stale)
+            store.put_blobs(puts, delete=stale, reclaim=reclaim)
         else:
             for blob_name, data in puts.items():
                 store.put_blob(blob_name, data)

@@ -289,10 +289,11 @@ class LabeledDocument:
 
         One structural DOM pass with **zero** label reads — the walk
         columnar consumers (:mod:`repro.query.columnar`) pair with a
-        bulk label extraction (``label_map``, a pinned
-        :class:`~repro.concurrent.engine.LabelSnapshot`'s
-        ``label_columns``) so shredding a document into query columns
-        never issues a per-node scheme lookup.
+        bulk label extraction (``label_map``, or one ``label_column``
+        per shard of a pinned
+        :class:`~repro.concurrent.engine.LabelSnapshot`, which never
+        walks the shard's leaves) so shredding a document into query
+        columns never issues a per-node scheme lookup.
         """
         stack: list[tuple[XMLElement, int]] = [(self.document.root, 0)]
         while stack:

@@ -15,7 +15,7 @@ tuple-at-a-time over boxed Python triples; this module executes it as
   a single bulk extraction — the document's cached label vector, or,
   for lock-free reads under live writers, the frozen per-shard byte
   images of a pinned :class:`repro.concurrent.engine.LabelSnapshot`
-  via its ``label_columns(rank)`` hook — never from per-node scheme
+  via its ``label_column(shard_id)`` hook — never from per-node scheme
   lookups;
 * :func:`evaluate_columnar` runs each axis step as one vectorized
   containment pass: context intervals sorted by ``begin``, a running
@@ -33,14 +33,16 @@ Three batching layers keep a *stream* of queries cheap, not just one:
   :meth:`ColumnarStore.repin`) keys every per-shard column segment on
   the ``(shard id, write version)`` pairs the snapshot's ``epoch``
   already carries, re-extracts only the dirty shards' segments and
-  splices them into a copy of the cached columns.  The DOM-stable
-  structures (element list, levels, the per-tag index, the predicate
-  memo) are shared outright, because engine-level writes move labels,
-  never element positions.  Shards rebalanced away since the previous
-  pin are handled forwarding-table-aware (their cached handles are
-  re-resolved through the snapshot's forwarding view); a directory
-  epoch jump that keeps the membership (compact, bulk reload — slot
-  maps may have been rewritten) falls back to a full rebuild;
+  splices them into a copy of the cached columns through per-shard
+  gather indices kept from the first pin.  The DOM-stable structures
+  (element list, levels, the per-tag index, the predicate memo, the
+  gather indices) are shared outright, because engine-level writes
+  move labels, never element positions or a live shard's slots.
+  Shards rebalanced away since the previous pin are handled
+  forwarding-table-aware (their cached handles are re-resolved through
+  the snapshot's forwarding view); a directory epoch jump that keeps
+  the membership (compact, bulk reload — slot maps may have been
+  rewritten) falls back to a full rebuild;
 * **multi-query batching** — a :class:`QuerySession` evaluates a batch
   against one pin, deduplicating common leading steps (a step-prefix
   trie over the batch) and sharing each context's sorted
@@ -99,29 +101,27 @@ class _PinState:
     """What an incremental re-pin needs to splice instead of rebuild.
 
     Captured by ``from_snapshot``: the pinned epoch's per-shard write
-    versions and prefixes, each element's *resolved* begin/end handles,
-    and the element positions each shard's columns feed (``begin`` and
-    ``end`` separately — an element spanning shards, like the root,
-    draws its two labels from two different arenas).  Everything here
-    is keyed by position, and positions are DOM-stable, so a re-pin
-    only ever rewrites labels in place.
+    versions and prefixes, and per shard the ``(positions, slots)``
+    gather indices of the ``begin`` and of the ``end`` column — which
+    element positions the shard's labels feed, read from which of its
+    slots (the two columns are indexed separately: an element spanning
+    shards, like the root, draws its two labels from two different
+    arenas).  Positions are DOM-stable and a shard keeps its slots for
+    as long as its id lives, so the indices carry over from re-pin to
+    re-pin; only shards that receive a vanished shard's positions get
+    new ones.
     """
 
-    __slots__ = ("versions", "prefixes", "begin_handles", "end_handles",
-                 "begin_by_sid", "end_by_sid")
+    __slots__ = ("versions", "prefixes", "begin_gathers", "end_gathers")
 
     def __init__(self, versions: dict[int, int],
                  prefixes: dict[int, int],
-                 begin_handles: list[tuple[int, int]],
-                 end_handles: list[tuple[int, int]],
-                 begin_by_sid: dict[int, list[int]],
-                 end_by_sid: dict[int, list[int]]):
+                 begin_gathers: dict[int, tuple[Any, Any]],
+                 end_gathers: dict[int, tuple[Any, Any]]):
         self.versions = versions
         self.prefixes = prefixes
-        self.begin_handles = begin_handles
-        self.end_handles = end_handles
-        self.begin_by_sid = begin_by_sid
-        self.end_by_sid = end_by_sid
+        self.begin_gathers = begin_gathers
+        self.end_gathers = end_gathers
 
 
 class ColumnarStore:
@@ -172,9 +172,7 @@ class ColumnarStore:
         self._predicate_cache: dict[tuple, Any] = {}
 
     def _positions(self, values: Iterable[int]):
-        if self.backend == "numpy":
-            return _np.fromiter(values, dtype=_np.int64)
-        return array("q", values)
+        return _index(self.backend, values)
 
     # ------------------------------------------------------------------
     # construction
@@ -236,10 +234,10 @@ class ColumnarStore:
                             ) -> "ColumnarStore":
         """Shred against a pinned label snapshot (lock-free inputs).
 
-        One structural DOM pass collects each element's ``(rank,
+        One structural DOM pass collects each element's ``(shard_id,
         slot)`` handles; labels are then gathered off the snapshot's
         frozen per-shard byte images through
-        :meth:`~repro.concurrent.engine.LabelSnapshot.label_columns` —
+        :meth:`~repro.concurrent.engine.LabelSnapshot.label_column` —
         one column decode per shard, composed with the pinned stride.
         No locks are taken and the live engine is never consulted, so
         the resulting store (and every query over it) is immune to
@@ -282,7 +280,7 @@ class ColumnarStore:
             cached = columns.get(shard_id)
             if cached is None:
                 cached = columns[shard_id] = \
-                    snapshot.label_columns(shard_id)[1]
+                    snapshot.label_column(shard_id)
             return cached
 
         begins = _compose_labels(begin_handles, column,
@@ -304,18 +302,13 @@ class ColumnarStore:
         epoch = getattr(snapshot, "epoch", None)
         if not isinstance(epoch, tuple) or not epoch:
             return
-        begin_by_sid: dict[int, list[int]] = {}
-        end_by_sid: dict[int, list[int]] = {}
-        for position, handle in enumerate(begin_handles):
-            begin_by_sid.setdefault(handle[0], []).append(position)
-        for position, handle in enumerate(end_handles):
-            end_by_sid.setdefault(handle[0], []).append(position)
+        begin_gathers = _gathers(begin_handles, self.backend)
+        end_gathers = _gathers(end_handles, self.backend)
         prefixes = {sid: snapshot.shard_prefix(sid)
-                    for sid in set(begin_by_sid) | set(end_by_sid)}
+                    for sid in set(begin_gathers) | set(end_gathers)}
         self.pinned_epoch = epoch
         self._pin = _PinState(dict(epoch[1:]), prefixes,
-                              begin_handles, end_handles,
-                              begin_by_sid, end_by_sid)
+                              begin_gathers, end_gathers)
 
     @classmethod
     def _splice_from(cls, previous: "ColumnarStore", snapshot: Any,
@@ -347,7 +340,7 @@ class ColumnarStore:
                 isinstance(previous._begin, list):
             return None
 
-        touched = set(pin.begin_by_sid) | set(pin.end_by_sid)
+        touched = set(pin.begin_gathers) | set(pin.end_gathers)
         dirty: list[int] = []
         vanished: list[int] = []
         reused = 0
@@ -364,96 +357,52 @@ class ColumnarStore:
                 reused += 1
             else:
                 dirty.append(sid)
-
-        columns: dict[int, Sequence[int]] = {}
-
-        def column(shard_id: int) -> Sequence[int]:
-            cached = columns.get(shard_id)
-            if cached is None:
-                cached = columns[shard_id] = \
-                    snapshot.label_columns(shard_id)[1]
-            return cached
+        begin_gathers, end_gathers = pin.begin_gathers, pin.end_gathers
+        if vanished:
+            try:
+                begin_gathers, end_gathers, retargeted = _retarget(
+                    begin_gathers, end_gathers, vanished,
+                    snapshot.resolve, backend)
+            except ValueError:
+                return None
+            for tid in retargeted:
+                if tid not in prefixes:
+                    prefixes[tid] = snapshot.shard_prefix(tid)
+            dirty = sorted(set(dirty) | retargeted)
 
         if backend == "numpy":
             begins, ends = previous._begin.copy(), previous._end.copy()
         else:
             begins = array("q", previous._begin)
             ends = array("q", previous._end)
-        if vanished:
-            begin_handles = list(pin.begin_handles)
-            end_handles = list(pin.end_handles)
-            begin_by_sid = {sid: list(positions) for sid, positions
-                            in pin.begin_by_sid.items()}
-            end_by_sid = {sid: list(positions) for sid, positions
-                          in pin.end_by_sid.items()}
-        else:
-            begin_handles, end_handles = \
-                pin.begin_handles, pin.end_handles
-            begin_by_sid, end_by_sid = pin.begin_by_sid, pin.end_by_sid
-
         spliced = 0
-        retargeted: set[int] = set()
         try:
             for sid in dirty:
                 prefix = prefixes[sid]
-                local = column(sid)
+                local = snapshot.label_column(sid)
                 if backend == "numpy":
-                    # vectorized in-place gather; numpy would *wrap*
-                    # on int64 overflow instead of raising, so guard
-                    # the worst case explicitly and let the full
-                    # rebuild pick the exact representation
-                    if prefix + max(local, default=0) >= _INT64_SAFE:
-                        return None
-                    local_column = _np.asarray(local, dtype=_np.int64)
-                for by_sid, handles, out in (
-                        (begin_by_sid, begin_handles, begins),
-                        (end_by_sid, end_handles, ends)):
-                    positions = by_sid.get(sid)
-                    if not positions:
+                    local = _np.asarray(local, dtype=_np.int64)
+                for gathers, out in ((begin_gathers, begins),
+                                     (end_gathers, ends)):
+                    gather = gathers.get(sid)
+                    if gather is None:
                         continue
+                    positions, slots = gather
                     if backend == "numpy":
-                        slots = _np.fromiter(
-                            (handles[position][1]
-                             for position in positions),
-                            dtype=_np.int64, count=len(positions))
-                        out[_np.asarray(positions, dtype=_np.int64)] = \
-                            local_column[slots] + prefix
-                    else:
-                        for position in positions:
-                            out[position] = \
-                                prefix + local[handles[position][1]]
-                    spliced += 1
-            for sid in vanished:
-                for by_sid, handles, out in (
-                        (begin_by_sid, begin_handles, begins),
-                        (end_by_sid, end_handles, ends)):
-                    positions = by_sid.pop(sid, None)
-                    if not positions:
-                        continue
-                    for position in positions:
-                        try:
-                            target = snapshot.resolve(handles[position])
-                        except ValueError:
+                        values = local[slots]
+                        # numpy would *wrap* on int64 overflow instead
+                        # of raising, so guard the sum explicitly and
+                        # let the full rebuild pick the exact
+                        # representation
+                        if prefix + int(values.max()) >= _INT64_SAFE:
                             return None
-                        handles[position] = target
-                        tid = target[0]
-                        prefix = prefixes.get(tid)
-                        if prefix is None:
-                            prefix = prefixes[tid] = \
-                                snapshot.shard_prefix(tid)
-                        out[position] = prefix + column(tid)[target[1]]
-                        by_sid.setdefault(tid, []).append(position)
-                        retargeted.add(tid)
+                        out[positions] = values + prefix
+                    else:
+                        for position, slot in zip(positions, slots):
+                            out[position] = prefix + local[slot]
                     spliced += 1
         except OverflowError:
             return None
-        if retargeted:
-            # forwarding may interleave a vanished shard's positions
-            # into an existing segment's list: restore position order
-            for by_sid in (begin_by_sid, end_by_sid):
-                for tid in retargeted:
-                    if tid in by_sid:
-                        by_sid[tid].sort()
 
         store = cls.__new__(cls)
         store.stats = stats
@@ -462,18 +411,17 @@ class ColumnarStore:
         store._begin = begins
         store._end = ends
         store._level = previous._level
-        store.shard_slices = _rank_slices(
-            [handle[0] for handle in begin_handles]) if vanished \
-            else previous.shard_slices
+        store.shard_slices = _gather_slices(begin_gathers,
+                                            len(previous.elements)) \
+            if vanished else previous.shard_slices
         store._by_tag = previous._by_tag
         store._all = previous._all
         store._predicate_cache = previous._predicate_cache
         store.pinned_epoch = epoch
         store._pin = _PinState(new_versions, prefixes,
-                               begin_handles, end_handles,
-                               begin_by_sid, end_by_sid)
+                               begin_gathers, end_gathers)
         stats.shards_reused += reused
-        stats.shards_reextracted += len(columns)
+        stats.shards_reextracted += len(dirty)
         stats.segments_spliced += spliced
         return store
 
@@ -547,6 +495,75 @@ class ColumnarStore:
         return self.elements[position]
 
 
+def _index(backend: str, values: Iterable[int]):
+    """An int64 index column in the backend's representation."""
+    if backend == "numpy":
+        return _np.fromiter(values, dtype=_np.int64)
+    return array("q", values)
+
+
+def _gathers(handles: Sequence[tuple[int, int]], backend: str
+             ) -> dict[int, tuple[Any, Any]]:
+    """``shard id -> (positions, slots)`` gather indices of one label
+    column's ``(shard_id, slot)`` handles."""
+    grouped: dict[int, tuple[list[int], list[int]]] = {}
+    for position, handle in enumerate(handles):
+        positions, slots = grouped.setdefault(handle[0], ([], []))
+        positions.append(position)
+        slots.append(handle[1])
+    return {sid: (_index(backend, positions), _index(backend, slots))
+            for sid, (positions, slots) in grouped.items()}
+
+
+def _retarget(begin_gathers: dict, end_gathers: dict,
+              vanished: Sequence[int], resolve, backend: str
+              ) -> tuple[dict, dict, set[int]]:
+    """Move rebalanced-away shards' gather entries to the shards their
+    slots now forward to.
+
+    Each vanished ``(shard_id, slot)`` is chased through ``resolve``
+    (the snapshot's forwarding view, which raises ``ValueError`` on a
+    broken chain); only the shards that receive entries get new
+    indices, holding any entries they had plus the moved ones.  Returns
+    the new begin and end gather maps and the receiving ids.
+    """
+    retargeted: set[int] = set()
+    result = []
+    for gathers in (begin_gathers, end_gathers):
+        gathers = dict(gathers)
+        moved: dict[int, tuple[list[int], list[int]]] = {}
+        for sid in vanished:
+            gather = gathers.pop(sid, None)
+            if gather is None:
+                continue
+            for position, slot in zip(gather[0].tolist(),
+                                      gather[1].tolist()):
+                tid, target = resolve((sid, slot))
+                positions, slots = moved.setdefault(tid, ([], []))
+                positions.append(position)
+                slots.append(target)
+        for tid, (positions, slots) in moved.items():
+            if tid in gathers:
+                positions += gathers[tid][0].tolist()
+                slots += gathers[tid][1].tolist()
+            gathers[tid] = (_index(backend, positions),
+                            _index(backend, slots))
+            retargeted.add(tid)
+        result.append(gathers)
+    return result[0], result[1], retargeted
+
+
+def _gather_slices(begin_gathers: dict, n_elements: int
+                   ) -> list[tuple[int, int]]:
+    """:func:`_rank_slices` of the shard ids the begin gathers assign
+    to each element position."""
+    ranks = [0] * n_elements
+    for sid, (positions, _slots) in begin_gathers.items():
+        for position in positions.tolist():
+            ranks[position] = sid
+    return _rank_slices(ranks)
+
+
 def _rank_slices(ranks: list[int]) -> list[tuple[int, int]]:
     """Contiguous (start, stop) runs of equal shard rank.
 
@@ -579,13 +596,17 @@ def _compose_labels(handles: list[tuple[int, int]], column, prefix_of
         out = _np.empty(len(handles), dtype=object)
         exact = False
         for sid in sorted(set(int(value) for value in _np.unique(ids))):
-            raw = column(sid)
             mask = ids == sid
             prefix = prefix_of(sid)
-            if prefix + max(raw, default=0) >= _INT64_SAFE:
+            try:
+                gathered = _np.asarray(column(sid),
+                                       dtype=_np.int64)[slots[mask]]
+            except OverflowError:   # a column beyond int64
                 exact = True
                 break
-            gathered = _np.asarray(raw, dtype=_np.int64)[slots[mask]]
+            if prefix + int(gathered.max()) >= _INT64_SAFE:
+                exact = True
+                break
             out[mask] = gathered + prefix
         if not exact:
             return out.tolist()

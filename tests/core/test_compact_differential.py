@@ -39,6 +39,7 @@ from repro.core.ltree import LTree
 from repro.core.params import LTreeParams
 from repro.core.sharded import RebalancePolicy, ShardedCompactLTree
 from repro.core.stats import Counters
+from repro.errors import InvariantViolation
 from repro.storage.pages import PageStore
 
 #: vectorized paths the differential sweeps must pass under; "scalar"
@@ -425,6 +426,58 @@ def test_post_restore_edits_differential(policy, vector_backend):
         assert ref_counts[field] == restored_counts[field], field
     ref.validate()
     restored.validate()
+
+
+def _walked_tombstones(tree):
+    """Tombstoned leaves found by walking the tree (the old count)."""
+    return sum(1 for leaf in tree.iter_leaves() if tree.is_deleted(leaf))
+
+
+@pytest.mark.parametrize("seed", [3, 17, 29])
+def test_tombstone_count_matches_walk_and_reference(seed, vector_backend):
+    """The O(1) tombstone count — one count over the tombstone column —
+    equals the tombstoned leaves a walk finds and the reference tree's
+    count: after seeded insert/run/delete streams, across a byte-image
+    round trip (and further edits that recycle free slots), and after
+    compaction."""
+    params = LTreeParams(f=6, s=3)
+    ref, compact = LTree(params), CompactLTree(params)
+    ref_handles = list(ref.bulk_load(range(20)))
+    compact_handles = list(compact.bulk_load(range(20)))
+    for round_number in range(3):
+        _drive_pair(seed * 10 + round_number, ref, ref_handles, compact,
+                    compact_handles, 400)
+        assert compact.tombstone_count() == \
+            _walked_tombstones(compact) == ref.tombstone_count()
+        compact.validate()
+    assert compact.tombstone_count() > 0
+
+    restored = CompactLTree.from_bytes(compact.to_bytes())
+    assert restored.tombstone_count() == \
+        _walked_tombstones(restored) == ref.tombstone_count()
+    _drive_pair(seed * 10 + 7, ref, ref_handles, restored,
+                compact_handles, 400)
+    assert restored.tombstone_count() == \
+        _walked_tombstones(restored) == ref.tombstone_count()
+    restored.validate()
+
+    restored.compact()
+    ref.compact()
+    assert restored.tombstone_count() == _walked_tombstones(restored) == \
+        ref.tombstone_count() == 0
+    restored.validate()
+
+
+def test_validate_catches_tombstone_column_drift():
+    """A tombstone mark on a slot no walk reaches as a deleted leaf makes
+    the O(1) count lie, and ``validate`` must say so."""
+    tree = CompactLTree(LTreeParams(f=4, s=2))
+    leaves = tree.bulk_load(range(30))
+    tree.mark_deleted(leaves[3])
+    tree.validate()
+    tree._deleted[tree.root] = 1         # behind mark_deleted's back
+    with pytest.raises(InvariantViolation, match="tombstone"):
+        tree.validate()
 
 
 class ShardedRebalanceMachine(RuleBasedStateMachine):

@@ -895,6 +895,35 @@ class TestShardReport:
                 [row["live"] for row in tree.shard_report()]
 
 
+class TestWriteVersions:
+    """``write_version`` is the dirty-shard signal snapshot epochs and
+    columnar caches key on, so every label-rewriting path must bump it."""
+
+    def test_compact_bumps_every_shard_version(self):
+        tree, handles = _sharded(40, 2)
+        for handle in handles[::4]:              # 10 deletes
+            tree.mark_deleted(handle)
+        before = tree.shard_versions()
+        tree.compact()
+        after = tree.shard_versions()
+        assert set(after) == set(before) == set(tree.shard_ids)
+        assert all(after[sid] > before[sid] for sid in before)
+        assert tree.tombstone_count() == 0
+
+    def test_shard_image_after_compact(self):
+        """A materialized shard's image comes without a leaf walk (no
+        live list), and its O(1) meta is the compacted shape."""
+        tree, handles = _sharded(40, 2)
+        for handle in handles[::4]:
+            tree.mark_deleted(handle)
+        tree.compact()
+        for sid in tree.shard_ids:
+            _image, live, meta = tree.shard_image(sid)
+            assert live is None                  # materialized: no walk
+            assert meta["tombstones"] == 0
+            assert meta["n_leaves"] == 15
+
+
 class TestRebalancePersistence:
     """Directory + forwarding survive the save/load round-trip, and a
     crash at the rebalance catalog flip reopens on the old epoch."""

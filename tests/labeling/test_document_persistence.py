@@ -413,6 +413,26 @@ class TestConcurrentOpen:
         finally:
             reopened.close()
 
+    def test_concurrent_scheme_reports_shard_versions(self, tmp_path):
+        """The scheme's dirty-shard report works on a concurrent reopen
+        and agrees with the snapshot epochs built from it."""
+        labeled = _edited_document(SCHEMES["ltree-sharded"]())
+        path = str(tmp_path / "versions.ltp")
+        labeled.save(path)
+        reopened = LabeledDocument.open(path, concurrent=True)
+        try:
+            tree = reopened.scheme.tree
+            before = reopened.scheme.shard_versions()
+            assert before == tree.snapshot().shard_versions()
+            child = next(iter(reopened.document.root.child_elements()))
+            reopened.append_subtree(child, parse("<post/>").root)
+            after = reopened.scheme.shard_versions()
+            assert after == tree.snapshot().shard_versions()
+            bumped = [sid for sid in after if after[sid] != before[sid]]
+            assert bumped == [child.extra.begin[0]]
+        finally:
+            reopened.close()
+
     def test_concurrent_parallel_writers_on_reopened_document(
             self, tmp_path):
         """Two threads editing under different top-level children of a

@@ -44,6 +44,24 @@ def _assert_identical(spliced, rebuilt):
     assert spliced.pinned_epoch == rebuilt.pinned_epoch
 
 
+class _ShiftedSnapshot:
+    """A pinned snapshot with one shard's prefix moved up by ``shift``:
+    a stand-in for a label space that has grown past int64."""
+
+    def __init__(self, snapshot, shard_id, shift):
+        self._snapshot = snapshot
+        self._shard_id = shard_id
+        self._shift = shift
+        self.epoch = snapshot.epoch
+        self.resolve = snapshot.resolve
+        self.label_column = snapshot.label_column
+
+    def shard_prefix(self, shard_id):
+        prefix = self._snapshot.shard_prefix(shard_id)
+        return prefix + self._shift if shard_id == self._shard_id \
+            else prefix
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestIncrementalRepin:
     def test_same_epoch_returns_previous_store(self, tmp_path, backend):
@@ -136,6 +154,80 @@ class TestIncrementalRepin:
                 assert _ids(evaluate_columnar(again, query,
                                               parallel=True)) == \
                     _ids(evaluate_dom(reopened.document, query))
+        reopened.close()
+
+    def test_split_repin_then_edit_only_repins(self, tmp_path, backend):
+        """A chain whose first re-pin crosses a split (the vanished
+        shard's gather entries move to its two halves) and whose next
+        re-pins are edit-only (splicing through those moved entries):
+        every splice equals a full rebuild, and the edit-only re-pins
+        re-extract exactly the two written halves."""
+        document = xmark_like(30, 15, 11, seed=31)
+        reopened = _open_concurrent(tmp_path, document)
+        tree = reopened.scheme.tree
+        with vectorized.use_backend(backend):
+            store = ColumnarStore.from_snapshot(reopened, tree.snapshot())
+            fat = max(tree.shard_report(), key=lambda row: row["live"])
+            anchors = [handle for handle in
+                       tree.iter_leaves(include_deleted=False)
+                       if handle[0] == fat["id"]]
+            for step in range(5):
+                tree.insert_after(anchors[3 * step], ("pre-split", step))
+            halves = tree.split_shard(fat["id"], fat["leaves"] // 2)
+            snapshot = tree.snapshot()
+            stats = Counters()
+            store = ColumnarStore.from_snapshot(
+                reopened, snapshot, stats, previous=store)
+            assert stats.segments_spliced >= 2
+            _assert_identical(
+                store, ColumnarStore.from_snapshot(reopened, snapshot))
+            for round_number in range(2):
+                live = list(tree.iter_leaves(include_deleted=False))
+                for sid in halves:
+                    anchor = next(handle for handle in live
+                                  if handle[0] == sid)
+                    tree.insert_after(anchor, ("post-split",
+                                               round_number, sid))
+                snapshot = tree.snapshot()
+                stats = Counters()
+                store = ColumnarStore.from_snapshot(
+                    reopened, snapshot, stats, previous=store)
+                assert stats.shards_reextracted == 2
+                _assert_identical(
+                    store, ColumnarStore.from_snapshot(reopened, snapshot))
+            for query in xpath_battery(reopened.document, 8, seed=32):
+                assert _ids(evaluate_columnar(store, query)) == \
+                    _ids(evaluate_dom(reopened.document, query))
+        reopened.close()
+
+    def test_labels_past_int64_rebuild_exactly(self, tmp_path, backend):
+        """A re-pin whose spliced labels would leave int64 (where numpy
+        wraps silently) must not splice: it rebuilds on the exact path
+        and composes the same labels as plain Python ints."""
+        document = xmark_like(15, 8, 6, seed=33)
+        reopened = _open_concurrent(tmp_path, document)
+        tree = reopened.scheme.tree
+        first = tree.shard_ids[0]
+        with vectorized.use_backend(backend):
+            store = ColumnarStore.from_snapshot(reopened, tree.snapshot())
+            tree.insert_after(next(tree.iter_leaves()), ("x",))
+            shifted = _ShiftedSnapshot(tree.snapshot(), first,
+                                       2 ** 63 - 1)
+            stats = Counters()
+            repinned = ColumnarStore.from_snapshot(
+                reopened, shifted, stats, previous=store)
+        assert stats.segments_spliced == 0
+        assert repinned.backend == "array"
+
+        def label(handle):
+            sid, slot = shifted.resolve(handle)
+            return shifted.shard_prefix(sid) + \
+                shifted.label_column(sid)[slot]
+
+        rows = list(reopened.element_handles())
+        assert repinned._begin == [label(row[1]) for row in rows]
+        assert repinned._end == [label(row[2]) for row in rows]
+        assert max(repinned._end) >= 2 ** 63
         reopened.close()
 
     def test_compact_epoch_jump_forces_rebuild(self, tmp_path, backend):
