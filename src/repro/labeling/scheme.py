@@ -522,6 +522,16 @@ class LabeledDocument:
         nothing is re-bulk-loaded and future edits behave as if the
         process had never stopped.
 
+        What a reopen costs: one parse of the stored XML
+        (:func:`repro.xml.parser.parse`), the scheme load (shard-lazy
+        for ``ltree-sharded``: only the manifest and the live-leaf
+        sidecars are decoded), and one pass that attaches each token to
+        its restored handle and the handle's payload back to the token;
+        no label is computed.  The parse is the largest part: on the
+        2.3 MB, ~69k-element ``query_serving`` benchmark document it is
+        about half of an ``open(concurrent=True)``, the attach pass
+        most of the rest, and the scheme load a few percent.
+
         ``store`` may be a file *path*: the document then owns the
         opened :class:`~repro.storage.pages.PageStore` (kept on
         :attr:`store`, so a bare ``save()`` re-saves in place and

@@ -35,9 +35,10 @@ Three batching layers keep a *stream* of queries cheap, not just one:
   already carries, re-extracts only the dirty shards' segments and
   splices them into a copy of the cached columns through per-shard
   gather indices kept from the first pin.  The DOM-stable structures
-  (element list, levels, the per-tag index, the predicate memo, the
-  gather indices) are shared outright, because engine-level writes
-  move labels, never element positions or a live shard's slots.
+  (element list and its object array, levels, the per-tag index, the
+  predicate memo, the gather indices) are shared outright, because
+  engine-level writes move labels, never element positions or a live
+  shard's slots.
   Shards rebalanced away since the previous pin are handled
   forwarding-table-aware (their cached handles are re-resolved through
   the snapshot's forwarding view); a directory epoch jump that keeps
@@ -145,10 +146,18 @@ class ColumnarStore:
         self.elements = elements
         max_label = max(ends, default=0)
         self.backend = "numpy" if _use_numpy(max_label) else "array"
+        #: ``elements`` as an object array on the numpy backend, so an
+        #: answer is one fancy-index gather (:meth:`elements_at`).  The
+        #: cycle collector does not look inside numpy object arrays, so
+        #: nothing the elements reach may refer back to this store: a
+        #: cycle through the array would never be freed
+        self._element_array = None
         if self.backend == "numpy":
             self._begin = _np.asarray(begins, dtype=_np.int64)
             self._end = _np.asarray(ends, dtype=_np.int64)
             self._level = _np.asarray(levels, dtype=_np.int64)
+            self._element_array = _np.empty(len(elements), dtype=object)
+            self._element_array[:] = elements
         else:
             kind = array if max_label < _INT64_SAFE else list
             self._begin = kind("q", begins) if kind is array else begins
@@ -407,6 +416,7 @@ class ColumnarStore:
         store = cls.__new__(cls)
         store.stats = stats
         store.elements = previous.elements
+        store._element_array = previous._element_array
         store.backend = backend
         store._begin = begins
         store._end = ends
@@ -493,6 +503,17 @@ class ColumnarStore:
 
     def element(self, position: int) -> XMLElement:
         return self.elements[position]
+
+    def elements_at(self, positions) -> list[XMLElement]:
+        """The elements at ``positions``, in the order given.
+
+        On the numpy backend this is one gather over the object array
+        kept beside :attr:`elements`, not one boxed int per answer.
+        """
+        if self._element_array is not None:
+            return self._element_array[positions].tolist()
+        elements = self.elements
+        return [elements[position] for position in positions]
 
 
 def _index(backend: str, values: Iterable[int]):
@@ -668,7 +689,10 @@ def _prepare_context(store: ColumnarStore, context, child_axis: bool):
         if child_axis:
             ctx_levels = level[context]
             by_parent_level: dict[int, tuple] = {}
-            for parent_level in np.unique(ctx_levels).tolist():
+            # levels are small non-negative ints: a bincount is the
+            # cheap sorted distinct-values pass
+            for parent_level in \
+                    np.flatnonzero(np.bincount(ctx_levels)).tolist():
                 anc = context[ctx_levels == parent_level]
                 by_parent_level[parent_level] = (
                     begin[anc], np.maximum.accumulate(end[anc]))
@@ -724,7 +748,8 @@ def _match_numpy(store: ColumnarStore, prepared, cand, child_axis: bool,
         def worker(chunk):
             mask = np.zeros(len(chunk), dtype=bool)
             chunk_levels = level[chunk]
-            for child_level in np.unique(chunk_levels).tolist():
+            for child_level in \
+                    np.flatnonzero(np.bincount(chunk_levels)).tolist():
                 pair = by_parent_level.get(child_level - 1)
                 if pair is None:
                     continue
@@ -843,7 +868,7 @@ def evaluate_columnar(store: Any, query: XPathQuery,
         if obs:
             METRICS.observe("query.step.seconds",
                             time.perf_counter() - t0)
-    return [store.elements[position] for position in positions]
+    return store.elements_at(positions)
 
 
 class QuerySession:
@@ -939,8 +964,7 @@ class QuerySession:
 
     def evaluate(self, query: XPathQuery) -> list[XMLElement]:
         """One query's elements, sharing the session's caches."""
-        elements = self.store.elements
-        return [elements[position] for position in self.positions(query)]
+        return self.store.elements_at(self.positions(query))
 
     def evaluate_batch(self, queries: Sequence[XPathQuery]
                        ) -> list[list[XMLElement]]:

@@ -200,6 +200,39 @@ class TestIncrementalRepin:
                     _ids(evaluate_dom(reopened.document, query))
         reopened.close()
 
+    def test_repinned_answers_are_a_fresh_pins_elements(self, tmp_path,
+                                                        backend):
+        """Answers gathered from a re-pinned store are the very element
+        objects a fresh pin answers with, in the same order."""
+        document = xmark_like(30, 15, 11, seed=37)
+        reopened = _open_concurrent(tmp_path, document)
+        tree = reopened.scheme.tree
+        texts = ["/site//increase", "//open_auction/bidder/increase",
+                 "//item/description//listitem",
+                 "//people/person[@id='person3']/name", "//nothing"]
+        with vectorized.use_backend(backend):
+            store = ColumnarStore.from_snapshot(reopened, tree.snapshot())
+            anchors = list(tree.iter_leaves(include_deleted=False))
+            for step in range(0, len(anchors), 9):
+                tree.insert_after(anchors[step], ("noise", step))
+            snapshot = tree.snapshot()
+            repinned = store.repin(reopened, snapshot)
+            fresh = ColumnarStore.from_snapshot(reopened, snapshot)
+            assert repinned is not store
+            assert repinned.elements is store.elements
+            queries = [parse_xpath(text) for text in texts] + \
+                xpath_battery(reopened.document, 8, seed=38)
+            session = QuerySession(repinned)
+            for query in queries:
+                answer = session.evaluate(query)
+                assert _ids(answer) == \
+                    _ids(QuerySession(fresh).evaluate(query))
+                assert _ids(answer) == \
+                    _ids(evaluate_columnar(fresh, query))
+                assert _ids(answer) == \
+                    _ids(evaluate_dom(reopened.document, query))
+        reopened.close()
+
     def test_labels_past_int64_rebuild_exactly(self, tmp_path, backend):
         """A re-pin whose spliced labels would leave int64 (where numpy
         wraps silently) must not splice: it rebuilds on the exact path
