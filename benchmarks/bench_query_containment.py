@@ -75,41 +75,6 @@ def test_depth_independence(benchmark, chain_32):
     benchmark.extra_info["edge_self_joins_at_depth_32"] = joins
 
 
-def test_label_cache_cuts_lookups(benchmark, xmark_medium):
-    """PR 3 acceptance gate: the cached label vector removes per-node
-    label lookups from the interval plan without changing its answers.
-
-    The same document is shredded and queried twice — once with the
-    document's cached handle→label vector (the default), once with it
-    disabled — and the run asserts identical query results while the
-    cached pass issues at most a tenth of the uncached pass's
-    ``label_lookups`` (in practice zero: the store warms the cache with
-    one flat extraction and every region read hits it).
-    """
-    def run():
-        query = parse_xpath(QUERY)
-        lookups = {}
-        answers = {}
-        for cached in (True, False):
-            stats = Counters()
-            labeled = LabeledDocument(xmark_medium, stats=stats,
-                                      cache_labels=cached)
-            store = IntervalTableStore(labeled, stats)
-            results = evaluate_interval(store, query)
-            root = xmark_medium.root
-            for element in results:
-                assert labeled.is_ancestor(root, element)
-            lookups[cached] = stats.label_lookups
-            answers[cached] = [id(element) for element in results]
-        assert answers[True] == answers[False]
-        assert lookups[True] < lookups[False] / 10, lookups
-        return lookups
-
-    lookups = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info["label_lookups_cached"] = lookups[True]
-    benchmark.extra_info["label_lookups_uncached"] = lookups[False]
-
-
 def test_containment_probe(benchmark, labeled_small):
     """The primitive the paper optimizes: one ancestor test by labels."""
     document = labeled_small.document

@@ -5,10 +5,10 @@ and asserts the paper's qualitative ordering inside the runs.  The
 engine head-to-head section pits the array-backed ``ltree-compact``
 engine against the node-object ``ltree`` on identical workloads, so the
 compact engine's speedup (or any regression) is a tracked number in the
-benchmark report, not a claim.  Since PR 3 the same applies to the
-vectorized column builders: ``test_bulk_load_vectorized_speedup`` is the
-acceptance gate holding the numpy and pure-Python batch paths to >= 3x
-and >= 1.3x over the per-slot ``scalar`` baseline.
+benchmark report, not a claim.  The same applies to the vectorized
+column builders: ``test_bulk_load_vectorized_speedup`` is the acceptance
+gate holding the numpy and pure-Python batch paths to >= 6x and >= 2.6x
+over the per-node reference ``LTree.bulk_load``.
 """
 
 import time
@@ -81,41 +81,48 @@ def test_engine_bulk_load(benchmark, engine):
     assert tree.n_leaves == N_BULK
 
 
-def _best_bulk_seconds(backend, n, rounds=3):
-    """Best-of-N wall time of a compact bulk load under one backend."""
+def _best_bulk_seconds(engine, n, rounds=5):
+    """Best-of-N wall time of bulk-loading ``n`` leaves on ``engine``."""
     best = float("inf")
-    with vectorized.use_backend(backend):
-        for _ in range(rounds):
-            tree = CompactLTree(ENGINE_PARAMS)
-            start = time.perf_counter()
-            tree.bulk_load(range(n))
-            best = min(best, time.perf_counter() - start)
+    for _ in range(rounds):
+        tree = engine(ENGINE_PARAMS)
+        start = time.perf_counter()
+        tree.bulk_load(range(n))
+        best = min(best, time.perf_counter() - start)
     return best
 
 
 def test_bulk_load_vectorized_speedup(benchmark, request):
-    """PR 3 acceptance gate: the columnar bulk load beats the per-slot
-    PR 1 engine (the ``scalar`` backend) by >= 3x under numpy and
-    >= 1.3x under the pure-Python batch path.
+    """Acceptance gate: the columnar bulk load beats the per-node
+    reference ``LTree.bulk_load`` by >= 6x under numpy and >= 2.6x
+    under the pure-Python batch path.
 
-    Thresholds carry slack: locally the numpy path lands around 4.5-5x
-    and the pure path around 4x, so a pass certifies the vectorized
-    column builders are actually engaged, not a lucky timer read.
-    Skipped under ``--benchmark-disable`` (like the persistence gate): a
-    wall-clock ratio on a noisy smoke runner would flap; CI runs this
-    gate by explicit node id with timers live.
+    The thresholds are double the old ones against the per-slot
+    builder, which ran about 2x faster than the reference.  At 100k
+    leaves on a 2-vCPU VM the numpy path lands at 6.4-10x and the pure
+    path at 5.6-8.4x, so a pass certifies the vectorized column builders
+    are actually engaged, not a lucky timer read.  Each side is the
+    best of five loads, so one slow scheduler slice on a shared runner
+    cannot fail the numpy leg's thinner margin.  Skipped under
+    ``--benchmark-disable`` (like the persistence gate): a wall-clock
+    ratio on a noisy smoke runner would flap; CI runs this gate by
+    explicit node id with timers live.
     """
     if request.config.getoption("benchmark_disable"):
         pytest.skip("wall-clock gate needs timers (smoke run)")
 
+    def compact_seconds(backend):
+        with vectorized.use_backend(backend):
+            return _best_bulk_seconds(CompactLTree, N_BULK)
+
     def run():
-        scalar = _best_bulk_seconds("scalar", N_BULK)
-        ratios = {"array": scalar / _best_bulk_seconds("array", N_BULK)}
+        reference = _best_bulk_seconds(LTree, N_BULK)
+        ratios = {"array": reference / compact_seconds("array")}
         if vectorized.HAS_NUMPY:
-            ratios["numpy"] = scalar / _best_bulk_seconds("numpy", N_BULK)
-        assert ratios["array"] >= 1.3, ratios
+            ratios["numpy"] = reference / compact_seconds("numpy")
+        assert ratios["array"] >= 2.6, ratios
         if vectorized.HAS_NUMPY:
-            assert ratios["numpy"] >= 3.0, ratios
+            assert ratios["numpy"] >= 6.0, ratios
         return ratios
 
     ratios = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -124,10 +131,10 @@ def test_bulk_load_vectorized_speedup(benchmark, request):
 
 
 def test_vectorized_backends_label_identical(benchmark):
-    """All three backends produce byte-identical engine images."""
+    """Both backends produce byte-identical engine images."""
     def run():
         images = {}
-        for backend in ("scalar", "array") + (
+        for backend in ("array",) + (
                 ("numpy",) if vectorized.HAS_NUMPY else ()):
             stats = Counters()
             with vectorized.use_backend(backend):

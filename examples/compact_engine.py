@@ -10,7 +10,7 @@ paper's algorithms exactly — this script drives them in lockstep through
 the same edit stream, shows the labels and maintenance cost stay
 byte-identical, then times them head to head.
 
-Since PR 3 the compact engine is also the **default** under
+The compact engine is also the **default** under
 `repro.labeling.scheme.LabeledDocument` (opt back into the node-object
 engine with `scheme=make_scheme("ltree")`), and its bulk paths run as
 batch column arithmetic through `repro.core.vectorized`:
@@ -18,13 +18,10 @@ batch column arithmetic through `repro.core.vectorized`:
 * backend ``numpy`` — int64 ndarray passes, picked automatically when
   numpy is importable;
 * backend ``array`` — pure-Python batch passes (C-level list/slice
-  arithmetic), the guaranteed fallback;
-* backend ``scalar`` — the original per-slot loops, kept as the
-  measured baseline.
+  arithmetic), the guaranteed fallback.
 
-Select one explicitly with ``REPRO_VECTOR_BACKEND=numpy|array|scalar``
-or `repro.core.vectorized.set_backend()`; the final section below times
-the same bulk load under every backend available in this interpreter.
+The final section times the same bulk load under every backend
+available in this interpreter against the node-object reference.
 """
 
 import random
@@ -98,25 +95,14 @@ def main() -> None:
           f"({compact_tree.free_slots} currently on the free-list)")
 
     print(f"\n== bulk_load({N_BULK:,}) head to head ==")
-    timings = {}
-    for name, engine in (("node-object", LTree),
-                         ("array-backed", CompactLTree)):
-        best = min(_time_bulk(engine) for _ in range(3))
-        timings[name] = best
-        print(f"  {name:13s} {best * 1000:7.1f} ms")
-    speedup = timings["node-object"] / timings["array-backed"]
-    print(f"  speedup: {speedup:.2f}x")
-
-    print(f"\n== vectorized backends, bulk_load({N_BULK:,}) ==")
-    backends = ["scalar", "array"] + (
-        ["numpy"] if vectorized.HAS_NUMPY else [])
-    baseline = None
+    reference = min(_time_bulk(LTree) for _ in range(3))
+    print(f"  {'reference':9s} {reference * 1000:7.1f} ms  (node-object)")
+    backends = ["array"] + (["numpy"] if vectorized.HAS_NUMPY else [])
     for backend in backends:
         with vectorized.use_backend(backend):
             best = min(_time_bulk(CompactLTree) for _ in range(3))
-        baseline = baseline or best
-        print(f"  {backend:7s} {best * 1000:7.1f} ms "
-              f"({baseline / best:.2f}x vs scalar)")
+        print(f"  {backend:9s} {best * 1000:7.1f} ms  "
+              f"({reference / best:.2f}x vs reference)")
     if not vectorized.HAS_NUMPY:
         print("  (numpy not importable: the array fallback is active)")
 

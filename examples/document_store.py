@@ -40,16 +40,25 @@ def check_queries(document, labeled) -> None:
         print(f"  {text:32s} -> {len(via_labels):3d} results (verified)")
 
 
+def tuned_params(n: int, max_bits: int):
+    """§3.2 problem 2: the cheapest updates whose labels fit ``max_bits``.
+
+    Searched over an integer (f, s) grid, which needs no numpy or scipy.
+    """
+    rows = [(cost, params) for params, cost, bits in
+            tuning.cost_grid(n, range(4, 65), range(2, 17))
+            if bits <= max_bits]
+    return min(rows, key=lambda row: row[0])[1]
+
+
 def main() -> None:
     # 1-2: parse and label with tuned parameters
     document = xmark_like(n_items=40, n_people=20, n_auctions=12, seed=8)
     expected_size = 4 * document.count_nodes()  # plan for growth
-    recommendation = tuning.minimize_cost_given_bits(expected_size, 32)
-    print(f"tuned for n0={expected_size}: "
-          f"{recommendation.params.describe()}")
+    params = tuned_params(expected_size, 32)
+    print(f"tuned for n0={expected_size}: {params.describe()}")
     stats = Counters()
-    labeled = LabeledDocument(document, params=recommendation.params,
-                              stats=stats)
+    labeled = LabeledDocument(document, params=params, stats=stats)
 
     print("\ninitial queries:")
     check_queries(document, labeled)

@@ -35,10 +35,8 @@ The hot paths run as **batch array passes** through
 closed-form level arithmetic (numpy when available, C-level list/slice
 passes otherwise), and every relabel — splits, root rebuilds, the §4.1
 run-insert relabel — walks the tree one *level* at a time with stride
-arithmetic instead of one slot at a time.  The original per-slot loops
-survive as the ``scalar`` backend, the baseline the vectorized paths are
-differential-tested and benchmarked against; select a backend with
-``REPRO_VECTOR_BACKEND`` or :func:`repro.core.vectorized.set_backend`.
+arithmetic instead of one slot at a time.  The reference ``LTree`` is the
+oracle both paths are differential-tested against.
 """
 
 from __future__ import annotations
@@ -479,10 +477,8 @@ class CompactLTree:
     def label_map(self) -> dict[int, int]:
         """Live handle → label, one pass over the flat ``num`` column.
 
-        The bulk extraction primitive behind the document layer's
-        cached label vector: no per-handle accessor calls, no tombstone
-        re-checks (``iter_leaves(include_deleted=False)`` already
-        filters).
+        No per-handle accessor calls, no tombstone re-checks
+        (``iter_leaves(include_deleted=False)`` already filters).
         """
         num = self._num
         return {slot: num[slot]
@@ -598,16 +594,18 @@ class CompactLTree:
         Reclaims every existing slot, so handles from before the load are
         invalid.  Returns the created leaves in order.
 
-        Under the vectorized backends the whole struct-of-arrays image —
-        labels, links, counts — is computed as closed-form column
-        arithmetic (:func:`repro.core.vectorized.left_complete_columns`)
-        with zero per-slot work; the slot layout and counter totals are
-        identical to the scalar build.
+        The whole struct-of-arrays image — labels, links, counts — is
+        computed as closed-form column arithmetic
+        (:func:`repro.core.vectorized.left_complete_columns`) with zero
+        per-slot work; labels and counter totals equal the reference
+        ``LTree.bulk_load``'s.
         """
         items = list(payloads)
         self._clear()
-        if not items or vectorized.get_backend() == "scalar":
-            return self._bulk_load_scalar(items)
+        if not items:
+            self.root = self._new_node(1)
+            self._assign_labels(self.root, 0)
+            return []
         n = len(items)
         params = self.params
         columns = vectorized.left_complete_columns(
@@ -621,17 +619,6 @@ class CompactLTree:
         if stats.enabled:
             stats.relabels += columns.total
         return list(range(n))
-
-    def _bulk_load_scalar(self, items: list) -> list[int]:
-        """The per-slot bulk load (scalar backend, and the empty tree)."""
-        leaves = [self._new_node(0, payload) for payload in items]
-        height = self.params.height_for(len(leaves))
-        if leaves:
-            self.root = self._build_left_complete(leaves, height)
-        else:
-            self.root = self._new_node(1)
-        self._assign_labels(self.root, 0)
-        return leaves
 
     def _build_left_complete(self, leaves: Sequence[int],
                              height: int) -> int:
@@ -966,14 +953,8 @@ class CompactLTree:
         The vectorized form of the subtree relabel: instead of a per-node
         stack walk, the whole frontier advances one *level* at a time and
         each parent's child labels are a stride progression; counters are
-        settled once per call.  Under the ``scalar`` backend this defers
-        to the original per-slot loop so the PR 1 baseline stays
-        measurable (same labels, same counter totals either way).
+        settled once per call.
         """
-        if vectorized.get_backend() == "scalar":
-            for slot, value in zip(slots, values):
-                self._assign_labels_scalar(slot, value)
-            return
         if height > 0:
             # extend the step memo (and run its array->list promotion
             # hook) *before* aliasing the label column: _step may
@@ -1016,42 +997,6 @@ class CompactLTree:
         stats = self.stats
         if stats.enabled:
             stats.relabels += written
-
-    def _assign_labels_scalar(self, node: int, num: int) -> None:
-        """The per-slot stack walk (scalar backend baseline)."""
-        if self._height[node] > 0:
-            # see _assign_labels_batch: memoize steps (and let the
-            # promotion hook swap self._num) before aliasing the column
-            self._step(self._height[node] - 1)
-        num_arr = self._num
-        height = self._height
-        first_child = self._first_child
-        next_sibling = self._next_sibling
-        base = self.params.base
-        stats = self.stats
-        if height[node] == 0:
-            num_arr[node] = num
-            stats.relabels += 1
-            return
-        stack = [(node, num)]
-        while stack:
-            current, value = stack.pop()
-            num_arr[current] = value
-            stats.relabels += 1
-            current_height = height[current]
-            if current_height == 0:
-                continue
-            step = self._step(current_height - 1)
-            child = first_child[current]
-            index = 0
-            while child != NIL:
-                stack.append((child, value + index * step))
-                index += 1
-                child = next_sibling[child]
-            if index > base:
-                raise LabelOverflow(
-                    f"node has {index} children but the "
-                    f"label base addresses only {base} slots")
 
     # ------------------------------------------------------------------
     # batch insertion (paper §4.1)

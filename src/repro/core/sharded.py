@@ -75,7 +75,7 @@ reopened tree resolves pre-crash handles identically.  Loading
 is **shard-lazy** by default: only the manifest and sidecars are
 decoded; a shard's arena is deserialized the first time an operation
 *writes* it (or needs its structure).  Pure label reads — ``num``,
-``label_map``, the document layer's cached label vector — are served
+``label_map``, a snapshot's ``label_column`` — are served
 straight off the byte image through the column offsets of
 :func:`repro.core.compact.read_array_header`, so a reopen followed by
 queries and single-subtree edits touches one arena, not all of them.
@@ -868,8 +868,8 @@ class ShardedCompactLTree:
         """Live handle → global label, composed across every shard.
 
         One bulk column decode per shard — lazy shards stay lazy — so
-        the document layer's cached label vector costs the same flat
-        extraction it does on the unsharded engine.
+        a bulk read costs the same flat extraction it does on the
+        unsharded engine.
         """
         d = self._dir
         stride = d.stride

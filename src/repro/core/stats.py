@@ -52,8 +52,8 @@ class Counters:
     inserts: int = 0
     #: completed delete (mark) operations
     deletes: int = 0
-    #: per-node label fetches issued by the document layer (the cost the
-    #: cached label vector of LabeledDocument exists to avoid)
+    #: per-node label fetches issued by the document layer (one per
+    #: begin/end/region label read of a LabeledDocument)
     label_lookups: int = 0
     #: columnar re-pin: shard segments served unchanged from the cached
     #: store (version and prefix both matched the pinned epoch)

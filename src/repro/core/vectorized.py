@@ -9,7 +9,7 @@ parent / first-child / next-sibling links of a left-complete tree follow
 closed-form index formulas.  This module computes those columns in bulk
 instead of one slot at a time.
 
-Three interchangeable backends implement the arithmetic:
+Two interchangeable backends implement the arithmetic:
 
 ``numpy``
     int64 ndarray passes — the fast path, selected automatically when
@@ -21,22 +21,17 @@ Three interchangeable backends implement the arithmetic:
     and slice assignment over the same flat integer columns the engine
     serializes as ``array('q')``.  Always available; this is the
     guaranteed-correct fallback when numpy is absent.
-``scalar``
-    the per-slot loops of the original (PR 1) engine, kept as the
-    differential baseline the vectorized paths are benchmarked and
-    parity-tested against.
 
-The backend is selected **once at import** from the environment variable
-``REPRO_VECTOR_BACKEND`` (``numpy`` | ``array`` | ``scalar`` | ``auto``,
-default ``auto`` = numpy when available, else array).  Tests and
-benchmarks override it at runtime with :func:`set_backend` or the
+The backend is numpy when importable, else array.  Tests and benchmarks
+override it at runtime with :func:`set_backend` or the
 :func:`use_backend` context manager; the engine re-reads the selection on
-every bulk operation, so an override takes effect immediately.
+every bulk operation, so an override takes effect immediately.  The
+per-node reference :class:`repro.core.ltree.LTree` is the oracle both
+backends are tested against.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Iterator, NamedTuple
 
@@ -51,10 +46,7 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
 HAS_NUMPY = _np is not None
 
 #: recognised backend names (see module docstring)
-BACKENDS = ("numpy", "array", "scalar")
-
-#: environment variable read once at import to pick the default backend
-BACKEND_ENV = "REPRO_VECTOR_BACKEND"
+BACKENDS = ("numpy", "array")
 
 #: sentinel slot id meaning "no node" (mirrors repro.core.compact.NIL)
 NIL = -1
@@ -66,8 +58,7 @@ _INT64_SAFE = 2 ** 62
 
 def _resolve(name: str) -> str:
     """Validate a backend name, resolving ``auto``."""
-    name = name.strip().lower()
-    if name in ("auto", ""):
+    if name == "auto":
         return "numpy" if HAS_NUMPY else "array"
     if name not in BACKENDS:
         raise ParameterError(
@@ -80,7 +71,7 @@ def _resolve(name: str) -> str:
     return name
 
 
-_active = _resolve(os.environ.get(BACKEND_ENV, "auto"))
+_active = _resolve("auto")
 
 
 def get_backend() -> str:
@@ -91,7 +82,7 @@ def get_backend() -> str:
 def set_backend(name: str) -> str:
     """Switch the active backend; returns the previous one.
 
-    Accepts ``auto`` (re-runs the import-time selection).  Raises
+    Accepts ``auto`` (numpy when importable, else array).  Raises
     :class:`ParameterError` for unknown names or ``numpy`` without numpy.
     """
     global _active
@@ -113,11 +104,10 @@ def use_backend(name: str) -> Iterator[str]:
 class BulkColumns(NamedTuple):
     """The complete struct-of-arrays image of a left-complete tree.
 
-    Slot layout matches the scalar builder exactly: leaves occupy slots
-    ``0..n-1`` in list order, internal nodes follow level by level
-    bottom-up, the root is the last slot.  Feeding these columns straight
-    into a :class:`~repro.core.compact.CompactLTree` therefore produces a
-    byte-image identical to the per-slot build.
+    Leaves occupy slots ``0..n-1`` in list order, internal nodes follow
+    level by level bottom-up, the root is the last slot.  Every node's
+    label, height, leaf count and children equal those of the same node
+    in :meth:`repro.core.ltree.LTree.bulk_load`'s tree.
     """
 
     num: list[int]
@@ -180,8 +170,7 @@ def left_complete_columns(n: int, arity: int, base: int,
 
     ``n`` leaves, ``height`` internal levels (``height >= 1``; callers
     pass ``LTreeParams.height_for(n)``).  Labels are computed with radix
-    ``base``.  Dispatches on the active backend; the ``scalar`` backend
-    has no columnar builder — callers check :func:`get_backend` first.
+    ``base``.  Dispatches on the active backend.
     """
     if n < 1 or height < 1:
         raise ParameterError(

@@ -21,21 +21,15 @@ and deletions:
 struct-of-arrays engine proven label- and counter-identical to the
 node-object reference by ``tests/core/test_compact_differential.py``.
 Its bulk paths are vectorized through :mod:`repro.core.vectorized` —
-numpy when importable, pure-Python batch passes otherwise; force a path
-with ``REPRO_VECTOR_BACKEND=numpy|array|scalar`` or
-``repro.core.vectorized.set_backend()``.  To opt back into the
-node-object engine pass ``scheme=make_scheme("ltree")`` or an explicit
-:class:`~repro.order.ltree_list.LTreeListLabeling`.
+numpy when importable, pure-Python batch passes otherwise.  To opt back
+into the node-object engine pass ``scheme=make_scheme("ltree")`` or an
+explicit :class:`~repro.order.ltree_list.LTreeListLabeling`.
 
-**Cached label vector.**  Query workloads read labels far more often
-than they edit.  The document keeps one bulk-extracted handle→label
-mapping (built straight from the engine's flat label column on the
-compact engine, see ``OrderedLabeling.label_map``) and serves every
-predicate from it; any edit invalidates the cache, and the next read
-rebuilds it in a single pass.  Per-node fetches that bypass the cache
-are counted in ``Counters.label_lookups`` — the number the cache drives
-to zero (``benchmarks/bench_query_containment.py`` tracks it).  Pass
-``cache_labels=False`` to measure the uncached behaviour.
+**Label reads.**  Every begin/end label read is one ``scheme.label``
+call, O(1) on every L-Tree engine, counted in
+``Counters.label_lookups``.  Bulk consumers that want every label at
+once pair :meth:`LabeledDocument.element_handles` with a pinned
+snapshot's label columns.
 """
 
 from __future__ import annotations
@@ -158,10 +152,6 @@ class LabeledDocument:
         L-Tree parameters for the default scheme.
     stats:
         Counter sink (shared with the default scheme).
-    cache_labels:
-        Keep a bulk-extracted handle→label vector and serve predicates
-        from it (default).  ``False`` forces one scheme lookup per label
-        read — the per-node cost ``Counters.label_lookups`` counts.
 
     Examples
     --------
@@ -178,8 +168,7 @@ class LabeledDocument:
     def __init__(self, document: XMLDocument,
                  scheme: Optional[OrderedLabeling] = None,
                  params: Optional[LTreeParams] = None,
-                 stats: Counters = NULL_COUNTERS,
-                 cache_labels: bool = True):
+                 stats: Counters = NULL_COUNTERS):
         if scheme is None:
             scheme = default_scheme(params, stats)
         elif params is not None:
@@ -187,8 +176,6 @@ class LabeledDocument:
         self.document = document
         self.scheme = scheme
         self.stats = stats
-        self._cache_labels = cache_labels
-        self._label_cache: Optional[dict[Any, Any]] = None
         #: page store this document owns (set by ``open`` from a path)
         self.store: Optional[Any] = None
         self._owns_store = False
@@ -205,7 +192,6 @@ class LabeledDocument:
         else:
             handles = self.scheme.bulk_load(pairs)
         self._attach(pairs, handles)
-        self._label_cache = None
 
     @staticmethod
     def _attach(pairs: list[tuple[str, XMLNode]],
@@ -229,37 +215,9 @@ class LabeledDocument:
         return handles
 
     def _label_of(self, handle: Any) -> Any:
-        """Label of one scheme handle, served from the cached vector.
-
-        Cache misses (stale handles are impossible here; only a disabled
-        cache) fall back to a counted per-node scheme lookup — the
-        operation ``Counters.label_lookups`` tallies and the cache
-        exists to avoid.
-        """
-        if self._cache_labels:
-            cache = self._label_cache
-            if cache is None:
-                cache = self._label_cache = self.scheme.label_map()
-            try:
-                return cache[handle]
-            except KeyError:
-                pass  # e.g. a deleted handle: let the scheme raise
+        """Label of one scheme handle: one counted scheme lookup."""
         self.stats.label_lookups += 1
         return self.scheme.label(handle)
-
-    def warm_labels(self) -> None:
-        """Build the cached label vector now (no-op when disabled).
-
-        Bulk consumers — :class:`repro.storage.interval_table
-        .IntervalTableStore` shredding every element region, a
-        structural-join input scan — call this once so the whole read
-        phase runs against one flat extraction.
-        """
-        if self._cache_labels and self._label_cache is None:
-            self._label_cache = self.scheme.label_map()
-
-    def _invalidate_labels(self) -> None:
-        self._label_cache = None
 
     def begin_label(self, node: XMLNode) -> Any:
         """Label of the node's begin tag (or of its single position)."""
@@ -289,11 +247,10 @@ class LabeledDocument:
 
         One structural DOM pass with **zero** label reads — the walk
         columnar consumers (:mod:`repro.query.columnar`) pair with a
-        bulk label extraction (``label_map``, or one ``label_column``
-        per shard of a pinned
-        :class:`~repro.concurrent.engine.LabelSnapshot`, which never
-        walks the shard's leaves) so shredding a document into query
-        columns never issues a per-node scheme lookup.
+        bulk label extraction (one ``label_column`` per shard of a
+        pinned :class:`~repro.concurrent.engine.LabelSnapshot`, which
+        never walks the shard's leaves) so shredding a document into
+        query columns never issues a per-node scheme lookup.
         """
         stack: list[tuple[XMLElement, int]] = [(self.document.root, 0)]
         while stack:
@@ -343,7 +300,6 @@ class LabeledDocument:
         handles = self.scheme.insert_run_after(
             anchor, pairs)
         self._attach(pairs, handles)
-        self._invalidate_labels()
         return subtree
 
     def append_subtree(self, parent: XMLElement,
@@ -401,7 +357,6 @@ class LabeledDocument:
         for _, member in _emit_tokens(node):
             member.extra = None
         node.parent.remove_child(node)
-        self._invalidate_labels()
 
     def compact(self) -> int:
         """Vacuum tombstoned label slots (L-Tree scheme only).
@@ -424,7 +379,6 @@ class LabeledDocument:
                 handles.end = mapping[handles.end]
             else:
                 handles.begin = mapping[handles.begin]
-        self._invalidate_labels()
         return reclaimed
 
     # ------------------------------------------------------------------
@@ -434,18 +388,20 @@ class LabeledDocument:
              sync: Optional[bool] = None) -> None:
         """Persist document text and labels to a page store.
 
-        ``store`` is a :class:`repro.storage.pages.PageStore` (or any
-        blob store), a file *path* (a store is opened — and closed —
-        around the save), or ``None`` to reuse the store this document
-        was opened from (:meth:`open` with a path).  ``sync=True``
-        applies the fsync-barrier durability discipline to every
-        catalog flip of this save — threaded down to ``PageStore``
-        whichever way the store was obtained — so the saved document
-        survives power loss, not only process crashes; the default
-        keeps the store's own setting.
+        ``store`` is a :class:`repro.storage.pages.PageStore`, a file
+        *path* (a store is opened — and closed — around the save), or
+        ``None`` to reuse the store this document was opened from
+        (:meth:`open` with a path).  ``sync=True`` applies the
+        fsync-barrier durability discipline to the catalog flip of this
+        save — threaded down to ``PageStore`` whichever way the store
+        was obtained — so the saved document survives power loss, not
+        only process crashes; the default keeps the store's own setting.
 
-        Three blobs land in the store: the serialized XML, the scheme
-        state, and a small JSON ``meta`` record.  The scheme goes
+        Three blobs land in the store under one catalog flip that
+        never overwrites the previous save's pages, so a crash at any
+        point of a save leaves the previous document reopenable: the
+        serialized XML, the scheme state, and a small JSON ``meta``
+        record.  The scheme goes
         as the struct-of-arrays byte image for ``ltree-compact``
         (tombstones and free-list preserved exactly), as one such image
         *per shard* plus a manifest for ``ltree-sharded`` (reopened
@@ -485,30 +441,37 @@ class LabeledDocument:
                 f"trip ({len(live_kinds)} tokens serialize to "
                 f"{len(reparsed_kinds)}): adjacent or empty text nodes "
                 f"cannot be re-labeled on open(); merge them first")
+        blobs = {XML_BLOB: text.encode("utf-8")}
         if isinstance(scheme, ShardedListLabeling):
-            # one LTREEARR blob span per shard plus a manifest; shards
-            # still lazy from an earlier open() are copied
-            # image-for-image without deserializing
             encoding = "sharded-bytes"
-            scheme.save(store, SCHEME_BLOB, include_payloads=False)
         elif isinstance(scheme, CompactListLabeling):
             encoding = "compact-bytes"
-            scheme.save(store, SCHEME_BLOB, include_payloads=False)
+            blobs[SCHEME_BLOB] = scheme.tree.to_bytes(
+                include_payloads=False)
         elif isinstance(scheme, LTreeListLabeling):
             encoding = "label-snapshot"
-            data = snapshot(scheme.tree, include_payloads=False)
-            store.put_blob(SCHEME_BLOB,
-                           json.dumps(data).encode("utf-8"))
+            blobs[SCHEME_BLOB] = json.dumps(snapshot(
+                scheme.tree, include_payloads=False)).encode("utf-8")
         else:
             raise TypeError(
                 f"save() supports the L-Tree schemes, got "
                 f"{scheme.name!r}")
-        store.put_blob(XML_BLOB, text.encode("utf-8"))
-        store.put_blob(META_BLOB, json.dumps({
+        blobs[META_BLOB] = json.dumps({
             "format": DOCUMENT_FORMAT_VERSION,
             "scheme": scheme.name,
             "encoding": encoding,
-        }).encode("utf-8"))
+        }).encode("utf-8")
+        # every blob lands under one reclaiming catalog flip, which never
+        # overwrites a page the previous catalog references: a crash at
+        # any byte of the save reopens the previously saved document
+        if encoding == "sharded-bytes":
+            # one LTREEARR blob span per shard plus a manifest, in the
+            # engine's own batch; shards still lazy from an earlier
+            # open() are copied image-for-image without deserializing
+            scheme.tree.save(store, SCHEME_BLOB, include_payloads=False,
+                             extra_blobs=blobs)
+        else:
+            store.put_blobs(blobs, reclaim=True)
 
     @classmethod
     def open(cls, store: Any, stats: Counters = NULL_COUNTERS,
@@ -593,8 +556,6 @@ class LabeledDocument:
             labeled.document = document
             labeled.scheme = scheme
             labeled.stats = stats
-            labeled._cache_labels = True
-            labeled._label_cache = None
             labeled.store = store if owns_store else None
             labeled._owns_store = owns_store
             pairs = list(_emit_tokens(document.root))

@@ -104,17 +104,6 @@ class OrderedLabeling(abc.ABC):
         """Current labels in list order (strictly increasing)."""
         return [self.label(handle) for handle in self.handles()]
 
-    def label_map(self) -> dict[Any, Any]:
-        """One bulk pass: every live handle mapped to its current label.
-
-        This is the extraction primitive behind the document layer's
-        cached label vector: callers that need many labels at once pay a
-        single list traversal instead of one :meth:`label` round trip per
-        node.  Array-backed schemes override it to read their flat label
-        column directly.
-        """
-        return {handle: self.label(handle) for handle in self.handles()}
-
     def payloads(self) -> list[Any]:
         """Payloads in list order."""
         return [self.payload(handle) for handle in self.handles()]

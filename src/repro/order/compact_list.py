@@ -138,17 +138,6 @@ class CompactEngineLabeling(OrderedLabeling):
     def handles(self) -> Iterator[Any]:
         return self.tree.iter_leaves(include_deleted=False)
 
-    def label_map(self) -> dict[Any, int]:
-        """Bulk label extraction straight from the engine's flat state.
-
-        No per-handle accessor calls, no tombstone re-checks: the
-        engine reads its label column(s) in one pass — the reason the
-        document layer's cached label vector is cheap to (re)build on
-        these engines (and stays cheap across shards on the sharded
-        one).
-        """
-        return self.tree.label_map()
-
     def __len__(self) -> int:
         return self._live
 

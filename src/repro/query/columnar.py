@@ -12,11 +12,10 @@ tuple-at-a-time over boxed Python triples; this module executes it as
 * a :class:`ColumnarStore` shreds a labeled document once into
   per-element ``(begin, end, level)`` columns plus a per-tag position
   index, grouped into contiguous per-shard segments.  Inputs come from
-  a single bulk extraction — the document's cached label vector, or,
-  for lock-free reads under live writers, the frozen per-shard byte
-  images of a pinned :class:`repro.concurrent.engine.LabelSnapshot`
-  via its ``label_column(shard_id)`` hook — never from per-node scheme
-  lookups;
+  the document's label reads, or, for lock-free reads under live
+  writers, the frozen per-shard byte images of a pinned
+  :class:`repro.concurrent.engine.LabelSnapshot` via its
+  ``label_column(shard_id)`` hook — one column decode per shard;
 * :func:`evaluate_columnar` runs each axis step as one vectorized
   containment pass: context intervals sorted by ``begin``, a running
   ``maximum.accumulate`` over their ``end``s, and one ``searchsorted``
@@ -128,8 +127,8 @@ class _PinState:
 class ColumnarStore:
     """A document shredded into flat per-element label columns.
 
-    Build through :meth:`from_labeled` (any scheme, labels off the
-    cached label vector) or :meth:`from_snapshot` (labels off a pinned
+    Build through :meth:`from_labeled` (any scheme, labels read through
+    the document) or :meth:`from_snapshot` (labels off a pinned
     :class:`~repro.concurrent.engine.LabelSnapshot`'s frozen byte
     images — the lock-free path).  Elements are stored in document
     order, so the ``begin`` column is strictly increasing and
@@ -191,12 +190,11 @@ class ColumnarStore:
                      stats: Counters = NULL_COUNTERS) -> "ColumnarStore":
         """Shred a :class:`~repro.labeling.scheme.LabeledDocument`.
 
-        Labels come off the document's cached label vector — one bulk
-        extraction, zero per-node ``label_lookups`` — so this is the
-        in-process construction path (queries see live labels; pair
-        with :meth:`from_snapshot` to pin them against writers).
+        Labels come off ``labeled.region`` — two O(1) scheme reads per
+        element — so this is the in-process construction path (queries
+        see live labels; pair with :meth:`from_snapshot` to pin them
+        against writers).
         """
-        labeled.warm_labels()
         elements: list[XMLElement] = []
         begins: list[int] = []
         ends: list[int] = []

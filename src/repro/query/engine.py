@@ -18,10 +18,9 @@ quantify the paper's "as efficient as child-axis" claim.
 
 The interval plan's (begin, end) inputs come from
 :class:`repro.storage.interval_table.IntervalTableStore`, which shreds
-the document through the :class:`~repro.labeling.scheme.LabeledDocument`
-cached label vector — one bulk extraction off the compact engine's flat
-label column (zero per-node ``label_lookups``) rather than two handle
-round trips per element.
+the document once through
+:meth:`~repro.labeling.scheme.LabeledDocument.region` — two O(1) label
+reads per element, counted in ``label_lookups``.
 """
 
 from __future__ import annotations

@@ -17,10 +17,8 @@ implements the three classic choices so experiment E11 can compare them:
 All three return identical pair sets (property-tested).
 
 Join inputs are (begin, end, payload) triples; when they originate from
-a labeled document they are bulk-extracted through the cached label
-vector (see :meth:`repro.labeling.scheme.LabeledDocument.warm_labels`),
-so building the sorted input lists costs one flat pass, not one scheme
-lookup per node.
+a labeled document each label is one O(1) scheme read
+(:meth:`repro.labeling.scheme.LabeledDocument.region`).
 """
 
 from __future__ import annotations

@@ -35,10 +35,6 @@ class IntervalTableStore:
         self.begin_index = SortedIndex(self.table, "begin")
 
     def _load(self) -> None:
-        # one flat extraction up front: every region below reads from the
-        # document's cached label vector instead of issuing two per-node
-        # scheme lookups per element
-        self.labeled.warm_labels()
         next_id = 0
         for element in self.labeled.document.iter_elements():
             region = self.labeled.region(element)

@@ -42,9 +42,7 @@ from repro.core.stats import Counters
 from repro.errors import InvariantViolation
 from repro.storage.pages import PageStore
 
-#: vectorized paths the differential sweeps must pass under; "scalar"
-#: (the PR 1 loops) is covered separately by byte-image parity tests in
-#: tests/core/test_vectorized.py
+#: vectorized paths the differential sweeps must pass under
 VECTOR_BACKENDS = ["array"] + (["numpy"] if vectorized.HAS_NUMPY else [])
 
 PARAM_SETS = [(4, 2), (8, 2), (6, 3), (16, 4)]

@@ -1,14 +1,16 @@
-"""The vectorized column builders against their scalar ground truth.
+"""The vectorized column builders against the reference L-Tree.
 
-Three layers of evidence that :mod:`repro.core.vectorized` computes
-exactly what the per-slot loops compute:
+Three layers of evidence that :mod:`repro.core.vectorized` builds
+exactly the tree the reference :meth:`repro.core.ltree.LTree.bulk_load`
+builds:
 
 * offsets: :func:`complete_leaf_offsets` equals ``spread_digits`` applied
   index by index, across a parameter grid and at arbitrary precision;
-* columns: a bulk load under every backend produces *byte-identical*
-  engine images (same slot layout, labels, links, counts — not merely
-  the same label sequence);
-* selection: the backend override/env machinery, including the silent
+* columns: a bulk load under every backend matches the reference tree
+  node by node (label, height, leaf count, children) with the counter
+  totals, lays its slots out as :class:`BulkColumns` promises, and the
+  array and numpy backends produce *byte-identical* engine images;
+* selection: the backend override machinery, including the silent
   fall-back of the numpy path to exact Python arithmetic whenever labels
   could overflow int64.
 """
@@ -17,12 +19,13 @@ import pytest
 
 from repro.core import vectorized
 from repro.core.compact import CompactLTree
+from repro.core.ltree import LTree
 from repro.core.params import LTreeParams, spread_digits
 from repro.core.stats import Counters
 from repro.errors import ParameterError
 
 #: backends every parity test must pass under
-BACKENDS_UNDER_TEST = ["array", "scalar"] + (
+BACKENDS_UNDER_TEST = ["array"] + (
     ["numpy"] if vectorized.HAS_NUMPY else [])
 
 
@@ -38,8 +41,6 @@ class TestLeafOffsets:
         expected = [spread_digits(i, arity, base, height)
                     for i in range(n)]
         for backend in BACKENDS_UNDER_TEST:
-            if backend == "scalar":
-                continue  # no columnar builder under scalar
             with vectorized.use_backend(backend):
                 assert vectorized.complete_leaf_offsets(
                     n, arity, base, height) == expected, backend
@@ -62,10 +63,79 @@ class TestLeafOffsets:
             assert offsets[-1] > 2 ** 63
 
 
+def _preorder(tree):
+    """Slots of a compact tree in pre-order (each level left to right)."""
+    stack = [tree.root]
+    while stack:
+        slot = stack.pop()
+        yield slot
+        stack.extend(reversed(tree.children_of(slot)))
+
+
+#: the (n, f, s) grid every bulk-load test sweeps
+SIZES = pytest.mark.parametrize("n", [1, 2, 5, 16, 17, 64, 500])
+FANOUTS = pytest.mark.parametrize("f,s", [(4, 2), (6, 3), (16, 4)])
+
+
 class TestColumns:
-    @pytest.mark.parametrize("f,s", [(4, 2), (6, 3), (16, 4)])
-    @pytest.mark.parametrize("n", [1, 2, 5, 16, 17, 64, 500])
+    @FANOUTS
+    @SIZES
+    def test_matches_reference_ltree(self, n, f, s):
+        """Walk both trees together: same label, height, leaf count,
+        payload and number of children at every node, same counter
+        totals."""
+        params = LTreeParams(f=f, s=s)
+        ref_stats = Counters()
+        reference = LTree(params, ref_stats)
+        reference.bulk_load(range(n))
+        for backend in BACKENDS_UNDER_TEST:
+            stats = Counters()
+            with vectorized.use_backend(backend):
+                tree = CompactLTree(params, stats)
+                tree.bulk_load(range(n))
+            tree.validate()
+            pairs = [(tree.root, reference.root)]
+            visited = 0
+            while pairs:
+                slot, node = pairs.pop()
+                visited += 1
+                assert tree.num(slot) == node.num, backend
+                assert tree.height_of(slot) == node.height, backend
+                assert tree.leaf_count_of(slot) == node.leaf_count
+                assert tree.payload(slot) == node.payload
+                children = tree.children_of(slot)
+                assert len(children) == len(node.children or ()), backend
+                pairs.extend(zip(children, node.children or ()))
+            assert visited == tree.allocated_slots, backend
+            assert stats.as_dict() == ref_stats.as_dict(), backend
+
+    @FANOUTS
+    @SIZES
+    def test_slot_layout(self, n, f, s):
+        """Leaves at slots 0..n-1 in order, internal levels bottom-up,
+        the root last (the :class:`BulkColumns` layout)."""
+        for backend in BACKENDS_UNDER_TEST:
+            tree = CompactLTree(LTreeParams(f=f, s=s))
+            with vectorized.use_backend(backend):
+                assert tree.bulk_load(range(n)) == list(range(n))
+            assert [tree.payload(slot) for slot in range(n)] == \
+                list(range(n))
+            levels: dict[int, list[int]] = {}
+            for slot in _preorder(tree):
+                levels.setdefault(tree.height_of(slot), []).append(slot)
+            first = 0
+            for height in sorted(levels):
+                slots = levels[height]
+                assert slots == list(range(first, first + len(slots))), \
+                    (backend, height)
+                first += len(slots)
+            assert len(levels[0]) == n
+            assert tree.root == first - 1 == tree.allocated_slots - 1
+
+    @FANOUTS
+    @SIZES
     def test_byte_identical_images_across_backends(self, n, f, s):
+        """The array and numpy backends build the same engine image."""
         params = LTreeParams(f=f, s=s)
         images = {}
         counters = {}
@@ -110,8 +180,8 @@ class TestBackendSelection:
 
     def test_use_backend_restores_previous(self):
         before = vectorized.get_backend()
-        with vectorized.use_backend("scalar"):
-            assert vectorized.get_backend() == "scalar"
+        with vectorized.use_backend("array"):
+            assert vectorized.get_backend() == "array"
         assert vectorized.get_backend() == before
 
     def test_set_backend_returns_previous(self):

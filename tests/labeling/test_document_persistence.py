@@ -20,7 +20,9 @@ from repro.order.compact_list import CompactListLabeling
 from repro.order.ltree_list import LTreeListLabeling
 from repro.order.naive import NaiveLabeling
 from repro.order.sharded_list import ShardedListLabeling
+from repro.storage.faults import FAILPOINTS, SimulatedCrash, torn_write
 from repro.storage.pages import PageStore
+from repro.testing.crashstorm import _sever_store
 from repro.xml.generator import xmark_like
 from repro.xml.parser import parse
 from repro.xml.serializer import serialize
@@ -133,6 +135,43 @@ class TestCrashRestart:
         third.validate()
 
 
+@pytest.mark.parametrize("nth", [1, 2, 3])
+@pytest.mark.parametrize("point", ["pagestore:catalog:pre-write",
+                                   "pagestore:put:torn-span"])
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_crash_during_resave_reopens_old_or_new(tmp_path, name, point,
+                                                nth):
+    """Save, edit, re-save onto the same store with a crash armed: the
+    store must reopen as exactly the old document (labels and
+    serialized XML) when the re-save crashed before its catalog flip,
+    as exactly the new one when it completed, never as a mix."""
+    labeled = _edited_document(SCHEMES[name]())
+    path = str(tmp_path / "doc.ltp")
+    store = PageStore(path)
+    labeled.save(store)
+    old = (labeled.labels_in_order(), serialize(labeled.document))
+    labeled.append_subtree(labeled.document.root, parse("<late/>").root)
+    new = (labeled.labels_in_order(), serialize(labeled.document))
+    action = torn_write(0.3) if ":torn-" in point else "crash"
+    crashed = False
+    with FAILPOINTS.scoped():
+        FAILPOINTS.arm(point, action, nth=nth)
+        try:
+            labeled.save(store)
+        except SimulatedCrash:
+            crashed = True
+            _sever_store(store)
+        else:
+            store.close()
+    with PageStore(path) as store:
+        reopened = LabeledDocument.open(store)
+        state = (reopened.labels_in_order(), serialize(reopened.document))
+        reopened.validate()
+    assert state == (old if crashed else new)
+    if nth == 1:
+        assert crashed       # both points fire on every save
+
+
 def test_restored_compact_differential_against_reference(tmp_path):
     """The PR 1 differential harness with one side restored from disk:
     reference LTree vs a CompactLTree that went through save/reopen."""
@@ -239,7 +278,7 @@ class TestShardedDocumentRoundTrip:
             # open() attached every handle and reattached payloads, yet
             # no arena was deserialized
             assert tree.materialized_shards == []
-            # label reads (predicates, the cached vector) stay lazy
+            # label reads (predicates included) stay lazy
             assert reopened.labels_in_order() == labels_before
             root = reopened.document.root
             for element in reopened.document.iter_elements():

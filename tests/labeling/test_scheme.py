@@ -64,8 +64,8 @@ class TestBulkLabeling:
 
 
 class TestDefaultEngineAndLabelCache:
-    """PR 3: the compact engine is the default; labels come from the
-    cached vector and the cache never goes stale across edits."""
+    """The compact engine is the default; every label read is one
+    counted scheme lookup and stays current across edits."""
 
     def test_default_scheme_is_compact(self):
         document = parse("<r><a/><b/></r>")
@@ -92,27 +92,16 @@ class TestDefaultEngineAndLabelCache:
                                     scheme=make_scheme("ltree"))
         assert compact.labels_in_order() == reference.labels_in_order()
 
-    def test_cached_predicates_issue_no_per_node_lookups(self):
-        stats = Counters()
-        document = parse("<r><a>one</a><b><c/></b></r>")
-        labeled = LabeledDocument(document, stats=stats)
-        a = next(document.find_all("a"))
-        c = next(document.find_all("c"))
-        assert labeled.is_ancestor(document.root, c)
-        assert labeled.precedes(a, c)
-        assert stats.label_lookups == 0
-
     def test_disabled_cache_counts_every_lookup(self):
         stats = Counters()
         document = parse("<r><a/><b/></r>")
-        labeled = LabeledDocument(document, stats=stats,
-                                  cache_labels=False)
+        labeled = LabeledDocument(document, stats=stats)
         a = next(document.find_all("a"))
         labeled.is_ancestor(document.root, a)  # 4 label reads
         assert stats.label_lookups == 4
 
-    def test_cache_tracks_edits(self):
-        """Every edit invalidates; the vector always matches the scheme."""
+    def test_label_reads_track_edits(self):
+        """Label reads always match the scheme, across every edit."""
         document = parse("<r><a/><b/><c/></r>")
         labeled = LabeledDocument(document)
 
