@@ -82,8 +82,7 @@ def main() -> None:
     with PageStore(path) as store:
         labeled.save(store)
         spans = [name for name in store.blobs()
-                 if name.startswith("scheme.s") and
-                 not name.endswith(".leaves")]
+                 if name.startswith("scheme.s")]
         print(f"\n== saved: {len(spans)} arena blob spans "
               f"({os.path.getsize(path):,} bytes) ==")
 

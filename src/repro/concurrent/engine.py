@@ -54,7 +54,7 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 from repro.obs import METRICS, TRACER
 from repro.core.params import LTreeParams
 from repro.core.sharded import (RebalancePolicy, _Shard,
-                                ShardedCompactLTree)
+                                ShardedCompactLTree, forward)
 from repro.core.stats import NULL_COUNTERS, Counters
 from repro.storage.faults import FAILPOINTS, failpoint
 
@@ -84,7 +84,9 @@ class LabelSnapshot:
     pinned shard object and its memos: the label column, decoded on the
     first :meth:`label_column` call, and the live-leaf list.  A shard
     written since the previous pin carries only its image; its live
-    list is walked out of the image on the first :meth:`handles`,
+    list is derived from the image's label, height and tombstone
+    columns (one sort of the live leaf slots by label, no tree walk
+    and no decode of the arena) on the first :meth:`handles`,
     :meth:`labels` or :meth:`label_map` read — outside the writer
     mutex, and never on the columnar query path, which reads only
     label columns.  :attr:`n_live` comes from the pinned leaf and
@@ -96,8 +98,7 @@ class LabelSnapshot:
 
     def __init__(self, params: LTreeParams, stride: int,
                  ids: Sequence[int], shards: list[_Shard],
-                 forwarding: dict[tuple[int, int], tuple[int, int]],
-                 epoch: tuple):
+                 forwarding: dict[int, tuple], epoch: tuple):
         self.params = params
         self.stride = stride
         #: (directory epoch, (shard id, write version)...) at pin time
@@ -143,22 +144,14 @@ class LabelSnapshot:
     def resolve(self, handle: tuple[int, int]) -> tuple[int, int]:
         """The pin-time ``(shard_id, slot)`` a handle denotes.
 
-        Chases the forwarding table until the id lands in the pinned
-        membership — entries added by rebalances *after* the pin are
-        never followed, because resolution stops the moment the id is
-        one of ours (the grow-only table is safely shared with the
+        Chases the forwarding table (:func:`~repro.core.sharded.forward`)
+        until the id lands in the pinned membership — entries added by
+        rebalances *after* the pin are never followed, because
+        resolution stops the moment the id is one of ours (the
+        grow-only table of immutable entries is safely shared with the
         live engine for exactly this reason).
         """
-        sid, slot = handle[0], handle[1]
-        positions = self._positions
-        while sid not in positions:
-            bridge = self._forwarding.get((sid, slot))
-            if bridge is None:
-                raise ValueError(
-                    f"handle {(handle[0], handle[1])!r} names unknown "
-                    f"shard {sid}")
-            sid, slot = bridge
-        return (sid, slot)
+        return forward(self._forwarding, self._positions, handle)
 
     def _shard_of(self, handle: tuple[int, int]
                   ) -> tuple[int, _Shard, int]:
@@ -199,7 +192,8 @@ class LabelSnapshot:
         out: list[int] = []
         for position, shard in enumerate(self._shards):
             prefix = position * self.stride
-            out.extend(prefix + value for value in shard.nums_of_live())
+            num = shard.num_column()
+            out.extend(prefix + num[slot] for slot in shard.live_slots())
         return out
 
     def label_map(self) -> dict[tuple[int, int], int]:
@@ -207,10 +201,9 @@ class LabelSnapshot:
         for position, (sid, shard) in enumerate(zip(self.ids,
                                                     self._shards)):
             prefix = position * self.stride
-            mapping.update(
-                ((sid, slot), prefix + value)
-                for slot, value in zip(shard.live_slots(),
-                                       shard.nums_of_live()))
+            num = shard.num_column()
+            mapping.update(((sid, slot), prefix + num[slot])
+                           for slot in shard.live_slots())
         return mapping
 
     def label_column(self, shard_id: int) -> Sequence[int]:

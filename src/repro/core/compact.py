@@ -469,6 +469,18 @@ class CompactLTree:
                         push(sibling)
                     node = first_child[node]
 
+    def leaf_slots(self, include_deleted: bool = True) -> Sequence[int]:
+        """Leaves in document order, derived from the label columns.
+
+        The same sequence :meth:`iter_leaves` walks, computed as one
+        sort of the leaf slots by label
+        (:func:`repro.core.vectorized.leaf_order`) instead of a pointer
+        walk; :meth:`validate` checks that the two agree.
+        """
+        return vectorized.leaf_order(
+            self._num, self._height,
+            None if include_deleted else self._deleted)
+
     def labels(self, include_deleted: bool = True) -> list[int]:
         """The current label sequence (strictly increasing)."""
         num = self._num
@@ -1344,8 +1356,10 @@ class CompactLTree:
 
         Same checks as :meth:`repro.core.ltree.LTree.validate`, performed
         iteratively, plus array-storage consistency (no free slot
-        reachable from the root, and the O(1) :meth:`tombstone_count`
-        equal to the tombstoned leaves a walk finds).
+        reachable from the root, the O(1) :meth:`tombstone_count`
+        equal to the tombstoned leaves a walk finds, and the
+        column-derived :meth:`leaf_slots` equal to the walk, with and
+        without tombstones).
         """
         if self._num[self.root] != 0:
             raise InvariantViolation(
@@ -1423,6 +1437,13 @@ class CompactLTree:
             raise InvariantViolation(
                 f"{walked} tombstoned leaves reachable, but the tombstone "
                 f"column marks {self.tombstone_count()} slots")
+        for include_deleted in (True, False):
+            if list(self.leaf_slots(include_deleted)) != \
+                    list(self.iter_leaves(include_deleted)):
+                raise InvariantViolation(
+                    f"leaf order derived from the columns disagrees "
+                    f"with the tree walk (include_deleted="
+                    f"{include_deleted})")
 
 
 def _pack_int64(values: Sequence[int]) -> bytes:

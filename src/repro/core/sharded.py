@@ -51,9 +51,12 @@ balanced.
 **Handle stability.**  Handles are ``(shard_id, local_slot)`` pairs.
 ``bulk_load`` and :meth:`compact` invalidate them (same contract as the
 flat engine), but a split or merge does **not**: each rebalance records
-its old ``(id, slot) → (new id, new slot)`` moves in a grow-only
-**forwarding table**, and every routing path resolves a handle through
-it — chasing chains across multiple epochs — before touching an arena.
+one immutable entry per retired id in a grow-only **forwarding table**,
+and every routing path resolves a handle through it (:func:`forward`)
+— chasing chains across multiple epochs — before touching an arena.
+Split and merge products are bulk loads, so leaf *k* of a run lands at
+slot *k*; an entry is therefore just the retired arena's slot-indexed
+leaf ranks plus where the run was cut and which ids took each side.
 An old handle held across any number of splits keeps resolving, the
 way tombstones outlive deletes.
 
@@ -68,29 +71,34 @@ leaves every other shard's counters untouched
 **Persistence** (:meth:`save` / :meth:`load`) writes one ``LTREEARR``
 byte image per shard — each its own blob span in a
 :class:`repro.storage.pages.PageStore` — plus a JSON manifest (with a
-CRC32 per image, checked on load) and a small per-shard sidecar of
-live leaf slots in document order.  The manifest carries the directory
-itself — id order, epoch, forwarding table, next unused id — so a
-reopened tree resolves pre-crash handles identically.  Loading
-is **shard-lazy** by default: only the manifest and sidecars are
-decoded; a shard's arena is deserialized the first time an operation
-*writes* it (or needs its structure).  Pure label reads — ``num``,
-``label_map``, a snapshot's ``label_column`` — are served
+CRC32 per image, checked on load) and, once a rebalance has retired a
+shard, one binary blob of forwarding columns.  The manifest carries the
+directory itself — id order, epoch, forwarding entries, next unused id
+— so a reopened tree resolves pre-crash handles identically.  Loading
+is **shard-lazy** by default: only the manifest and the forwarding blob
+are decoded; a shard's arena is deserialized the first time an
+operation *writes* it (or needs its structure).  Pure label reads —
+``num``, ``label_map``, a snapshot's ``label_column`` — are served
 straight off the byte image through the column offsets of
-:func:`repro.core.compact.read_array_header`, so a reopen followed by
-queries and single-subtree edits touches one arena, not all of them.
+:func:`repro.core.compact.read_array_header`, and a lazy shard's live
+leaves are derived from the image's label, height and tombstone
+columns on first use (:func:`repro.core.vectorized.leaf_order`), so a
+reopen followed by queries and single-subtree edits touches one arena,
+not all of them.
 """
 
 from __future__ import annotations
 
 import json
 import operator
+import re
 import struct
 import sys
 import zlib
 from array import array
 from typing import Any, Iterator, Optional, Sequence
 
+from repro.core import vectorized
 from repro.core.compact import (_FLAG_HAS_PAYLOADS, _HEADER, CompactLTree,
                                 _pack_int64, _unpack_int64,
                                 read_array_header)
@@ -103,10 +111,13 @@ DEFAULT_N_SHARDS = 8
 
 #: on-store format version of the sharded manifest blob.  Version 2
 #: added the id-based directory: per-entry shard ids, the epoch, the
-#: forwarding table and the next unused id.  Version-1 manifests load
-#: with ids equal to their ranks (the layouts coincide before the
-#: first split/merge).
-MANIFEST_FORMAT_VERSION = 2
+#: forwarding table and the next unused id.  Version 3 dropped the
+#: per-shard live-leaf sidecars (live leaves derive from the image) and
+#: moved the forwarding table from a JSON list of moves into one binary
+#: blob of per-retired-id columns.  Version-1 manifests load with ids
+#: equal to their ranks (the layouts coincide before the first
+#: split/merge); version-1/2 forwarding lists are converted on load.
+MANIFEST_FORMAT_VERSION = 3
 
 #: ``kind`` tag of the manifest (a JSON blob, not an LTREEARR image)
 MANIFEST_KIND = "sharded-ltree"
@@ -118,14 +129,14 @@ class _Shard:
     """One arena: a materialized engine, or a still-lazy byte image.
 
     A lazy shard can answer *label* questions (``num``, tombstone bits,
-    live-leaf enumeration) straight from its image; the first mutation
-    or structural question materializes it through
+    live-leaf enumeration) straight from its image's columns; the first
+    mutation or structural question materializes it through
     :meth:`CompactLTree.from_bytes`.
     """
 
     __slots__ = ("tree", "stats", "image", "header", "live", "pending",
                  "meta_height", "meta_n_leaves", "meta_tombstones",
-                 "_num_column", "write_version")
+                 "meta_live", "_num_column", "write_version")
 
     def __init__(self, tree: Optional[CompactLTree], stats: Counters):
         self.tree = tree
@@ -133,8 +144,7 @@ class _Shard:
         self.image: Any = None
         self.header = None
         #: live leaf slots in document order (lazy shards only; ``None``
-        #: until first needed when pinned without one — see
-        #: :meth:`live_leaves`)
+        #: until first derived — see :meth:`live_leaves`)
         self.live: Optional[Sequence[int]] = None
         #: payloads reattached while lazy, applied on materialization
         self.pending: dict[int, Any] = {}
@@ -150,6 +160,7 @@ class _Shard:
         self.meta_height = 0
         self.meta_n_leaves = 0
         self.meta_tombstones = 0
+        self.meta_live = 0
 
     @classmethod
     def lazy(cls, image: Any, live: Optional[Sequence[int]], meta: dict,
@@ -161,6 +172,7 @@ class _Shard:
         shard.meta_height = meta["height"]
         shard.meta_n_leaves = meta["n_leaves"]
         shard.meta_tombstones = meta["tombstones"]
+        shard.meta_live = meta["live"]
         return shard
 
     @property
@@ -208,23 +220,36 @@ class _Shard:
     def live_leaves(self) -> Sequence[int]:
         """Live leaf slots of a lazy shard, in document order.
 
-        A shard pinned without its live list (a snapshot of a written
-        arena, see :meth:`ShardedCompactLTree.shard_image`) walks a
-        throwaway decode of its own image on the first read that needs
-        the list, and keeps the result — the image never changes.
+        Derived on the first read that needs them from the image's
+        label, height and tombstone columns
+        (:func:`repro.core.vectorized.leaf_order`) and kept — the image
+        never changes.  The count is checked against the live count the
+        manifest (or the pin) recorded, so an image that disagrees with
+        its manifest fails loudly here.
         """
         live = self.live
         if live is None:
-            walk = CompactLTree.from_bytes(self.image).iter_leaves(
-                include_deleted=False)
-            live = self.live = array("q", walk)
+            header = self.header
+            view = memoryview(self.image)
+            heights = _unpack_int64(
+                view, header.num_offset + 8 * header.n_slots,
+                header.n_slots)
+            tombstones = view[header.deleted_offset:
+                              header.deleted_offset + header.n_slots]
+            live = vectorized.leaf_order(self.num_column(), heights,
+                                         tombstones)
+            if len(live) != self.meta_live:
+                raise ParameterError(
+                    f"shard image holds {len(live)} live leaves, its "
+                    f"manifest says {self.meta_live}")
+            self.live = live
         return live
 
-    def live_slots(self) -> Iterator[int]:
+    def live_slots(self) -> Sequence[int]:
         """Live leaf slots in document order (no materialization)."""
         if self.tree is not None:
-            return self.tree.iter_leaves(include_deleted=False)
-        return iter(self.live_leaves())
+            return self.tree.leaf_slots(include_deleted=False)
+        return self.live_leaves()
 
     def num_column(self) -> Sequence[int]:
         """The full slot-indexed local label column, bulk-decoded.
@@ -248,15 +273,6 @@ class _Shard:
                 column.byteswap()
             self._num_column = column
         return column
-
-    def nums_of_live(self) -> list[int]:
-        """Labels of the live leaves, bulk-decoded for lazy shards."""
-        if self.tree is not None:
-            num = self.tree._num
-            return [num[slot] for slot in
-                    self.tree.iter_leaves(include_deleted=False)]
-        column = self.num_column()
-        return [column[slot] for slot in self.live_leaves()]
 
     def arena_bytes(self) -> int:
         """Byte size of this arena's payload-free ``LTREEARR`` image.
@@ -317,6 +333,94 @@ class _Directory:
         self.stride = base ** self.height
 
 
+def forward(forwarding: dict, members: Any,
+            handle: Sequence[int]) -> tuple[int, int]:
+    """The ``(shard_id, slot)`` a handle denotes among ``members``.
+
+    ``forwarding`` maps each retired shard id to one immutable entry
+    ``(ranks, cut, low, high)``: ``ranks[slot]`` is the leaf's index in
+    the run its successors were bulk loaded from (-1 for a slot that
+    held no leaf).  Ranks below ``cut`` went to shard ``low`` at slot
+    ``rank``, the rest to ``high`` at ``rank - cut`` — a split cuts at
+    its split point, a merge never cuts.  Hops are chased until the id
+    is one of ``members`` (anything supporting ``in``: a directory's
+    shard map, a snapshot's pinned positions), so entries added after a
+    pin are never followed.  Raises ``ValueError`` when the chain
+    dead-ends (the handle predates a bulk load or compact, which reset
+    the table, or names no leaf).
+    """
+    sid, slot = handle[0], handle[1]
+    while sid not in members:
+        entry = forwarding.get(sid)
+        rank = -1
+        if entry is not None and 0 <= slot < len(entry[0]):
+            rank = entry[0][slot]
+        if rank < 0:
+            raise ValueError(
+                f"handle {(handle[0], handle[1])!r} names unknown "
+                f"shard {sid}")
+        _ranks, cut, low, high = entry
+        sid, slot = (low, rank) if rank < cut else (high, rank - cut)
+    return (sid, slot)
+
+
+def _load_forwarding(store: Any, spec: Optional[dict]) -> dict:
+    """The forwarding table of a format-3 manifest: one CRC-checked
+    blob of int64 rank columns, sliced per manifest entry."""
+    if spec is None:
+        return {}
+    raw = bytes(store.get_blob(spec["blob"]))
+    if zlib.crc32(raw) != spec["checksum"]:
+        raise ParameterError(
+            f"forwarding blob {spec['blob']!r} fails its manifest "
+            f"checksum (torn by a crash mid-save?)")
+    view = memoryview(raw)
+    table = {}
+    offset = 0
+    for old_id, n_slots, cut, low, high in spec["entries"]:
+        table[old_id] = (_unpack_int64(view, offset, n_slots), cut, low,
+                         high)
+        offset += 8 * n_slots
+    if offset != len(raw):
+        raise ParameterError(
+            f"forwarding blob {spec['blob']!r} holds {len(raw)} bytes, "
+            f"its manifest entries describe {offset}")
+    return table
+
+
+def _forwarding_from_moves(moves: Sequence[Sequence[int]]) -> dict:
+    """Convert a format-1/2 forwarding list — one ``[old id, old slot,
+    new id, new slot]`` row per moved leaf — to :func:`forward` entries.
+
+    A retired id moved its leaves into at most two arenas, each a bulk
+    load whose slots count up from 0.  Either arena can play ``low``:
+    its slots keep their values as ranks and ``cut`` is one past the
+    largest; the other arena's slots are stored offset by ``cut``.
+    """
+    by_id: dict[int, dict[int, dict[int, int]]] = {}
+    for old_id, old_slot, new_id, new_slot in moves:
+        by_id.setdefault(old_id, {}).setdefault(new_id, {})[old_slot] = \
+            new_slot
+    table = {}
+    for old_id, targets in by_id.items():
+        if len(targets) > 2:
+            raise ParameterError(
+                f"forwarding list moves shard {old_id} into "
+                f"{len(targets)} arenas; a split or merge makes at "
+                f"most two")
+        (low, low_moves), *rest = targets.items()
+        high, high_moves = rest[0] if rest else (low, {})
+        cut = max(low_moves.values()) + 1
+        ranks = array("q", [-1]) * (1 + max(max(slots) for slots
+                                            in targets.values()))
+        for old_slot, new_slot in low_moves.items():
+            ranks[old_slot] = new_slot
+        for old_slot, new_slot in high_moves.items():
+            ranks[old_slot] = cut + new_slot
+        table[old_id] = (ranks, cut, low, high)
+    return table
+
+
 class RebalancePolicy:
     """Plans split/merge actions from :meth:`~ShardedCompactLTree
     .shard_report` occupancy rows.
@@ -348,9 +452,9 @@ class RebalancePolicy:
 
     ``plan`` returns non-overlapping actions (each shard appears in at
     most one), so an applier can perform them all and re-plan.
-    ``max_shards`` caps the directory: a checkpoint lists two blobs
-    per shard in the page store's one-page catalog, and at the default
-    32 that catalog still fits with a CRC per span.
+    ``max_shards`` caps the directory: a checkpoint lists one blob per
+    shard in the page store's one-page catalog, and at the default 32
+    that catalog fits with a CRC per span and room to spare.
     Deterministic: equal reports (and equal workloads) yield equal
     plans — and the applier journals the resulting split/merge records,
     so a WAL replay reproduces a workload-driven rebalance exactly
@@ -488,11 +592,12 @@ class ShardedCompactLTree:
         #: online rebalance actions performed
         self.shard_splits = 0
         self.shard_merges = 0
-        #: old (id, slot) → new (id, slot) moves across every surviving
-        #: epoch.  Grow-only between bulk loads/compactions (readers
-        #: holding an old directory resolve through it lock-free);
-        #: replaced wholesale when handles are invalidated anyway.
-        self._forwarding: dict[tuple[int, int], tuple[int, int]] = {}
+        #: retired shard id → ``(ranks, cut, low, high)`` (see
+        #: :func:`forward`) across every surviving epoch.  Grow-only
+        #: between bulk loads/compactions (readers holding an old
+        #: directory resolve through it lock-free); replaced wholesale
+        #: when handles are invalidated anyway.
+        self._forwarding: dict[int, tuple[array, int, int, int]] = {}
         self._next_shard_id = 1
         self._dir = _Directory(0, (0,), {0: self._fresh_shard()},
                                params.base)
@@ -602,19 +707,7 @@ class ShardedCompactLTree:
         when the chain dead-ends (the handle predates a bulk load or
         compact, which invalidate handles outright).
         """
-        d = self._dir
-        sid, slot = handle[0], handle[1]
-        if sid in d.shards:
-            return (sid, slot)
-        forwarding = self._forwarding
-        while sid not in d.shards:
-            bridge = forwarding.get((sid, slot))
-            if bridge is None:
-                raise ValueError(
-                    f"handle {(handle[0], handle[1])!r} names unknown "
-                    f"shard {sid}")
-            sid, slot = bridge
-        return (sid, slot)
+        return forward(self._forwarding, self._dir.shards, handle)
 
     def _locate(self, handle: Sequence[int]
                 ) -> tuple[_Directory, int, _Shard, int]:
@@ -626,14 +719,9 @@ class ShardedCompactLTree:
         d = self._dir
         sid, slot = handle[0], handle[1]
         shard = d.shards.get(sid)
-        while shard is None:
-            bridge = self._forwarding.get((sid, slot))
-            if bridge is None:
-                raise ValueError(
-                    f"handle {(handle[0], handle[1])!r} names unknown "
-                    f"shard {sid}")
-            sid, slot = bridge
-            shard = d.shards.get(sid)
+        if shard is None:
+            sid, slot = forward(self._forwarding, d.shards, handle)
+            shard = d.shards[sid]
         return d, sid, shard, slot
 
     # ------------------------------------------------------------------
@@ -807,15 +895,16 @@ class ShardedCompactLTree:
         """All leaves in document order, shard by shard.
 
         With ``include_deleted=False`` (the wrapper's ``handles()``
-        path) lazy shards serve their sidecar enumeration and stay
-        unmaterialized; including tombstones needs the structure.
+        path) lazy shards serve the live leaves derived from their
+        image's columns and stay unmaterialized; including tombstones
+        materializes.  Either way the order comes from one sort of the
+        leaf slots by label, not a tree walk.
         """
         d = self._dir
         for sid in d.ids:
             shard = d.shards[sid]
             if include_deleted:
-                slots: Iterator[int] = \
-                    shard.materialize().iter_leaves(True)
+                slots = shard.materialize().leaf_slots()
             else:
                 slots = shard.live_slots()
             for slot in slots:
@@ -830,12 +919,11 @@ class ShardedCompactLTree:
             shard = d.shards[sid]
             prefix = position * stride
             if include_deleted:
-                tree = shard.materialize()
-                out.extend(prefix + tree.num(slot)
-                           for slot in tree.iter_leaves(True))
+                slots = shard.materialize().leaf_slots()
             else:
-                out.extend(prefix + value
-                           for value in shard.nums_of_live())
+                slots = shard.live_slots()
+            num = shard.num_column()
+            out.extend(prefix + num[slot] for slot in slots)
         return out
 
     def payloads(self, include_deleted: bool = True) -> list[Any]:
@@ -877,10 +965,9 @@ class ShardedCompactLTree:
         for position, sid in enumerate(d.ids):
             shard = d.shards[sid]
             prefix = position * stride
-            mapping.update(
-                ((sid, slot), prefix + value)
-                for slot, value in zip(shard.live_slots(),
-                                       shard.nums_of_live()))
+            num = shard.num_column()
+            mapping.update(((sid, slot), prefix + num[slot])
+                           for slot in shard.live_slots())
         return mapping
 
     def find_leaf(self, num: int) -> Optional[tuple[int, int]]:
@@ -964,19 +1051,32 @@ class ShardedCompactLTree:
         self._next_shard_id = max(self._next_shard_id, max(ids) + 1)
         return ids
 
-    def _clone_leaf_run(self, tree: CompactLTree, slots: Sequence[int]
-                        ) -> tuple[_Shard, dict[int, int]]:
-        """A fresh arena holding ``slots``'s leaves (tombstones and
-        payloads preserved); returns it plus the old→new slot map."""
+    def _clone_leaf_run(self, runs: Sequence[tuple[CompactLTree,
+                                                   Sequence[int]]]
+                        ) -> _Shard:
+        """A fresh arena holding the concatenated leaf ``runs``.
+
+        Each run is ``(tree, leaf slots in document order)``.  Payloads
+        and tombstones are preserved with one gather each: the bulk load
+        puts leaf *k* at slot *k*, so the gathered tombstone marks land
+        on the new arena's first slots as one column write, and its
+        counters see one ``deletes`` per tombstone — what marking each
+        leaf on its own would have counted.
+        """
         shard = self._fresh_shard()
-        new_slots = shard.tree.bulk_load(
-            [tree.payload(slot) for slot in slots])
-        slot_map: dict[int, int] = {}
-        for old_slot, new_slot in zip(slots, new_slots):
-            if tree.is_deleted(old_slot):
-                shard.tree.mark_deleted(new_slot)
-            slot_map[old_slot] = new_slot
-        return shard, slot_map
+        tree = shard.tree
+        payloads: list[Any] = []
+        marks = []
+        for source, slots in runs:
+            payloads.extend(map(source._payload.__getitem__, slots))
+            marks.append(vectorized.gather_bytes(source._deleted, slots))
+        tree.bulk_load(payloads)
+        tombstones = b"".join(marks)
+        tree._deleted[:len(tombstones)] = tombstones
+        dead = tombstones.count(1)
+        if dead and tree.stats.enabled:
+            tree.stats.deletes += dead
+        return shard
 
     def split_shard(self, shard_id: int, at_leaf: int,
                     new_ids: Optional[Sequence[int]] = None,
@@ -1005,24 +1105,24 @@ class ShardedCompactLTree:
         d = self._dir
         shard = self._shard_by_id(shard_id)
         tree = shard.materialize()
-        slots = list(tree.iter_leaves(include_deleted=True))
+        slots = tree.leaf_slots()
         if not 1 <= at_leaf < len(slots):
             raise ParameterError(
                 f"split point {at_leaf} outside 1..{len(slots) - 1} "
                 f"(shard {shard_id} holds {len(slots)} leaves)")
-        builds = [self._clone_leaf_run(tree, slots[:at_leaf]),
-                  self._clone_leaf_run(tree, slots[at_leaf:])]
+        builds = [self._clone_leaf_run([(tree, slots[:at_leaf])]),
+                  self._clone_leaf_run([(tree, slots[at_leaf:])])]
         ids = self._claim_ids(new_ids, 2, d.shards)
         if on_commit is not None:
             on_commit(tuple(ids))
-        for (_shard, slot_map), sid in zip(builds, ids):
-            for old_slot, new_slot in slot_map.items():
-                self._forwarding[(shard_id, old_slot)] = (sid, new_slot)
+        self._forwarding[shard_id] = (
+            vectorized.slot_ranks(slots, len(tree._num)), at_leaf,
+            ids[0], ids[1])
         position = d.positions[shard_id]
         order = d.ids[:position] + tuple(ids) + d.ids[position + 1:]
         shards = dict(d.shards)
         del shards[shard_id]
-        for (new_shard, _), sid in zip(builds, ids):
+        for new_shard, sid in zip(builds, ids):
             shards[sid] = new_shard
         self.shard_splits += 1
         self._dir = _Directory(d.epoch + 1, order, shards,
@@ -1053,30 +1153,21 @@ class ShardedCompactLTree:
                 f"{d.positions[id_a]} and {d.positions[id_b]})")
         tree_a = d.shards[id_a].materialize()
         tree_b = d.shards[id_b].materialize()
-        slots_a = list(tree_a.iter_leaves(include_deleted=True))
-        slots_b = list(tree_b.iter_leaves(include_deleted=True))
-        merged = self._fresh_shard()
-        new_slots = merged.tree.bulk_load(
-            [tree_a.payload(slot) for slot in slots_a] +
-            [tree_b.payload(slot) for slot in slots_b])
-        maps: dict[int, dict[int, int]] = {id_a: {}, id_b: {}}
-        for index, new_slot in enumerate(new_slots):
-            if index < len(slots_a):
-                source, old_slot = id_a, slots_a[index]
-                deleted = tree_a.is_deleted(old_slot)
-            else:
-                source, old_slot = id_b, slots_b[index - len(slots_a)]
-                deleted = tree_b.is_deleted(old_slot)
-            if deleted:
-                merged.tree.mark_deleted(new_slot)
-            maps[source][old_slot] = new_slot
+        slots_a = tree_a.leaf_slots()
+        slots_b = tree_b.leaf_slots()
+        merged = self._clone_leaf_run([(tree_a, slots_a),
+                                       (tree_b, slots_b)])
         sid = self._claim_ids(None if new_id is None else [new_id], 1,
                               d.shards)[0]
         if on_commit is not None:
             on_commit(sid)
-        for source, slot_map in maps.items():
-            for old_slot, new_slot in slot_map.items():
-                self._forwarding[(source, old_slot)] = (sid, new_slot)
+        total = len(slots_a) + len(slots_b)
+        self._forwarding[id_a] = (
+            vectorized.slot_ranks(slots_a, len(tree_a._num)), total,
+            sid, sid)
+        self._forwarding[id_b] = (
+            vectorized.slot_ranks(slots_b, len(tree_b._num),
+                                  start=len(slots_a)), total, sid, sid)
         position = d.positions[id_a]
         order = d.ids[:position] + (sid,) + d.ids[position + 2:]
         shards = dict(d.shards)
@@ -1157,13 +1248,14 @@ class ShardedCompactLTree:
 
         The image is the same payload-free ``LTREEARR`` byte image the
         lazy-reopen path serves label reads from.  A still-lazy shard
-        hands back its existing image and sidecar live list with no
-        deserialization.  A materialized shard costs one
-        :meth:`CompactLTree.to_bytes` copy and no leaf walk: its live
-        list comes back ``None``, and a :class:`_Shard` pinned from the
-        triple derives it from the image only if a reader asks for it
-        (:meth:`_Shard.live_leaves`).  The meta — height, leaf and
-        tombstone counts — is O(1).  This is the pinning hook snapshot
+        hands back its existing image, and its live list if a reader
+        already derived one, with no deserialization.  A materialized
+        shard costs one :meth:`CompactLTree.to_bytes` copy and no leaf
+        pass: its live list comes back ``None``, and a :class:`_Shard`
+        pinned from the triple derives it from the image's columns only
+        if a reader asks for it (:meth:`_Shard.live_leaves`).  The meta
+        — height, leaf, tombstone and live counts — is O(1).  This is
+        the pinning hook snapshot
         readers use (:meth:`repro.concurrent.engine.ConcurrentLTree
         .snapshot`): the returned triple is immutable with respect to
         later writes, so a reader can answer label/order/containment
@@ -1172,6 +1264,7 @@ class ShardedCompactLTree:
         shard = self._shard_by_id(shard_id)
         meta = {"height": shard.height, "n_leaves": shard.n_leaves,
                 "tombstones": shard.tombstone_count()}
+        meta["live"] = meta["n_leaves"] - meta["tombstones"]
         if shard.is_lazy:
             image = shard.image
             if not isinstance(image, bytes):
@@ -1193,23 +1286,26 @@ class ShardedCompactLTree:
         """Persist every arena as its own blob span plus a manifest.
 
         Blob layout under ``name``: ``{name}.s{id}`` holds shard
-        ``id``'s ``LTREEARR`` image, ``{name}.s{id}.leaves`` its
-        live-leaf sidecar, and ``{name}`` the JSON manifest — which
-        also carries the directory (id order, epoch, forwarding table,
-        next unused id), so a reopen resolves old-epoch handles exactly
-        as this tree would.  On a store with batched puts
-        (:meth:`PageStore.put_blobs`) the whole save — arenas,
-        sidecars, manifest, stale-shard cleanup — lands under one
-        atomic catalog flip; with ``reclaim`` (the default) the flip
-        also reclaims superseded spans and never overwrites a page the
-        *previous* catalog references, so a crash at any byte of the
-        save — including mid-rebalance — reopens bit-identically on the
-        old epoch.  On a plain ``put_blob`` store the manifest is
+        ``id``'s ``LTREEARR`` image, ``{name}.forwarding`` the
+        forwarding columns (only once a split or merge retired a shard),
+        and ``{name}`` the JSON manifest — which also carries the
+        directory (id order, epoch, forwarding entries, next unused id),
+        so a reopen resolves old-epoch handles exactly as this tree
+        would.  Nothing is walked: live leaves are not stored at all
+        (a reopen derives them from each image's columns), and each
+        forwarding entry's rank column is written as it is held.  On a
+        store with batched puts (:meth:`PageStore.put_blobs`) the whole
+        save — arenas, forwarding, manifest, stale-blob cleanup — lands
+        under one atomic catalog flip; with ``reclaim`` (the default)
+        the flip also reclaims superseded spans and never overwrites a
+        page the *previous* catalog references, so a crash at any byte
+        of the save — including mid-rebalance — reopens bit-identically
+        on the old epoch.  On a plain ``put_blob`` store the manifest is
         written last, so a reader never sees it pointing at *missing*
         blobs; there the in-place span rewrite window remains, which is
-        why every manifest entry carries a CRC32 of its image and
-        sidecar and :meth:`load` fails loudly on a mismatch instead of
-        deserializing torn bytes.
+        why the manifest carries a CRC32 of every image and of the
+        forwarding blob and :meth:`load` fails loudly on a mismatch
+        instead of deserializing torn bytes.
 
         A still-lazy shard is copied image-for-image without
         deserializing — an open → edit-one-subtree → save cycle reads
@@ -1234,7 +1330,6 @@ class ShardedCompactLTree:
         for sid in d.ids:
             shard = d.shards[sid]
             arena_name = f"{name}.s{sid}"
-            leaves_name = f"{name}.s{sid}.leaves"
             if shard.is_lazy:
                 has_payloads = bool(shard.header.flags &
                                     _FLAG_HAS_PAYLOADS)
@@ -1243,26 +1338,35 @@ class ShardedCompactLTree:
                     shard.materialize()
             if shard.is_lazy:
                 raw = bytes(shard.image)
-                live = shard.live_leaves()
             else:
                 raw = shard.tree.to_bytes(
                     include_payloads=include_payloads)
-                live = list(shard.tree.iter_leaves(
-                    include_deleted=False))
-            raw_leaves = _pack_int64(live)
             puts[arena_name] = raw
-            puts[leaves_name] = raw_leaves
+            tombstones = shard.tombstone_count()
             entries.append({
                 "id": sid,
                 "blob": arena_name,
-                "leaves": leaves_name,
                 "height": shard.height,
                 "n_leaves": shard.n_leaves,
-                "tombstones": shard.tombstone_count(),
-                "live": len(live),
+                "tombstones": tombstones,
+                "live": shard.n_leaves - tombstones,
                 "checksum": zlib.crc32(raw),
-                "leaves_checksum": zlib.crc32(raw_leaves),
             })
+        forwarding = None
+        if self._forwarding:
+            forwarding_name = f"{name}.forwarding"
+            raw = b"".join(_pack_int64(ranks) for ranks, *_rest
+                           in self._forwarding.values())
+            puts[forwarding_name] = raw
+            forwarding = {
+                "blob": forwarding_name,
+                "checksum": zlib.crc32(raw),
+                # [retired id, slots, cut, low id, high id] per entry,
+                # in blob order
+                "entries": [[old_id, len(ranks), cut, low, high]
+                            for old_id, (ranks, cut, low, high)
+                            in self._forwarding.items()],
+            }
         manifest = {
             "format": MANIFEST_FORMAT_VERSION,
             "kind": MANIFEST_KIND,
@@ -1277,31 +1381,24 @@ class ShardedCompactLTree:
             "directory_rebuilds": self.directory_rebuilds,
             "shard_splits": self.shard_splits,
             "shard_merges": self.shard_merges,
-            "forwarding": [[old_id, old_slot, new_id, new_slot]
-                           for (old_id, old_slot), (new_id, new_slot)
-                           in self._forwarding.items()],
+            "forwarding": forwarding,
             "shards": entries,
         }
         manifest_raw = json.dumps(manifest).encode("utf-8")
-        # blobs of shard ids this tree no longer has (a re-bulk_load
-        # can shrink the shard count; a split/merge retires ids) must
-        # be dropped, or their spans leak past every vacuum.  The
-        # catalog is scanned rather than probed id-by-id: a cleanup
-        # interrupted by a crash can leave *gaps* in the stale id
-        # sequence, and an arena can survive without its sidecar (or
-        # vice versa)
+        # every blob of this layout the save does not write is stale —
+        # arenas of retired ids (a split/merge, or a re-bulk_load that
+        # shrinks the shard count), an emptied forwarding table, the
+        # live-leaf sidecars of a format-1/2 store — and left cataloged
+        # its span would leak past every vacuum.  The catalog is scanned
+        # rather than probed id by id: a cleanup interrupted by a crash
+        # can leave *gaps* in the stale id sequence
         stale = []
-        live_ids = set(d.ids)
         if hasattr(store, "blobs") and hasattr(store, "delete_blob"):
-            prefix = f"{name}.s"
-            for blob_name in list(store.blobs()):
-                if not blob_name.startswith(prefix):
-                    continue
-                tail = blob_name[len(prefix):]
-                if tail.endswith(".leaves"):
-                    tail = tail[:-len(".leaves")]
-                if tail.isdigit() and int(tail) not in live_ids:
-                    stale.append(blob_name)
+            owned = re.compile(
+                re.escape(name) + r"\.(s[0-9]+(\.leaves)?|forwarding)")
+            stale = [blob_name for blob_name in store.blobs()
+                     if blob_name not in puts and
+                     owned.fullmatch(blob_name)]
         if extra_blobs:
             overlap = set(extra_blobs) & (set(puts) | {name})
             if overlap:
@@ -1311,9 +1408,10 @@ class ShardedCompactLTree:
             puts.update(extra_blobs)
         failpoint("sharded:save:pre-put", blob=name)
         if hasattr(store, "put_blobs"):
-            # one catalog flip: arenas, sidecars, manifest and stale-blob
-            # drops become visible atomically (and under sync=True the
-            # whole save costs one fsync pair, not one per blob)
+            # one catalog flip: arenas, forwarding, manifest and
+            # stale-blob drops become visible atomically (and under
+            # sync=True the whole save costs one fsync pair, not one
+            # per blob)
             puts[name] = manifest_raw
             store.put_blobs(puts, delete=stale, reclaim=reclaim)
         else:
@@ -1335,23 +1433,26 @@ class ShardedCompactLTree:
              shard_stats: bool = False) -> "ShardedCompactLTree":
         """Reopen a tree saved by :meth:`save`.
 
-        With ``lazy`` (default) only the manifest and the per-shard
-        sidecars are decoded; each arena is fetched as a byte view
-        (mmap fast path when the store offers it) and deserialized on
-        first write — see the module docstring.  ``lazy=False``
-        materializes everything immediately.  Format-1 manifests (the
-        pre-directory layout) load with ids equal to their ranks.
+        With ``lazy`` (default) only the manifest and the forwarding
+        blob are decoded; each arena is fetched as a byte view (mmap
+        fast path when the store offers it), checked against its
+        manifest CRC, and deserialized on first write — see the module
+        docstring.  ``lazy=False`` materializes everything immediately.
+        Format-1 manifests (the pre-directory layout) load with ids
+        equal to their ranks; format-1/2 stores open too, their
+        live-leaf sidecars left unread (the next save drops them) and
+        their JSON forwarding lists converted to columns.
         """
         manifest = json.loads(bytes(store.get_blob(name)).decode("utf-8"))
         if manifest.get("kind") != MANIFEST_KIND:
             raise ParameterError(
                 f"blob {name!r} is not a sharded-ltree manifest "
                 f"(kind={manifest.get('kind')!r})")
-        if manifest.get("format") not in (1, MANIFEST_FORMAT_VERSION):
+        version = manifest.get("format")
+        if version not in (1, 2, MANIFEST_FORMAT_VERSION):
             raise ParameterError(
-                f"unsupported sharded manifest format "
-                f"{manifest.get('format')!r} "
-                f"(supported: 1, {MANIFEST_FORMAT_VERSION})")
+                f"unsupported sharded manifest format {version!r} "
+                f"(supported: 1, 2, {MANIFEST_FORMAT_VERSION})")
         params = LTreeParams(f=manifest["f"], s=manifest["s"],
                              label_base=manifest["label_base"])
         tree = cls.__new__(cls)
@@ -1388,33 +1489,7 @@ class ShardedCompactLTree:
                 raise ParameterError(
                     f"shard image {entry['blob']!r} disagrees with the "
                     f"manifest parameters")
-            raw_leaves = bytes(store.get_blob(entry["leaves"]))
-            leaves_crc = entry.get("leaves_checksum")
-            if leaves_crc is not None and \
-                    zlib.crc32(raw_leaves) != leaves_crc:
-                raise ParameterError(
-                    f"sidecar {entry['leaves']!r} fails its manifest "
-                    f"checksum (torn by a crash mid-save?)")
-            live = _unpack_int64(memoryview(raw_leaves), 0,
-                                 len(raw_leaves) // 8)
-            # lazy label reads index the raw image with these slots, so
-            # a torn or stale sidecar must fail loudly here, not return
-            # bytes of some other column as a "label" (the same reason
-            # from_bytes validates the free-list)
-            if len(live) != entry["live"]:
-                raise ParameterError(
-                    f"sidecar {entry['leaves']!r} holds {len(live)} "
-                    f"slots, manifest says {entry['live']}")
-            image_view = memoryview(image)
-            deleted_offset = header.deleted_offset
-            if any(not 0 <= slot < header.n_slots or
-                   image_view[deleted_offset + slot]
-                   for slot in live):
-                raise ParameterError(
-                    f"sidecar {entry['leaves']!r} names slots outside "
-                    f"the {header.n_slots}-slot arena or tombstoned "
-                    f"leaves")
-            shard = _Shard.lazy(image, live, entry, sink)
+            shard = _Shard.lazy(image, None, entry, sink)
             if not lazy:
                 shard.materialize()
             ids.append(sid)
@@ -1425,9 +1500,12 @@ class ShardedCompactLTree:
         if len(shards) != len(ids):
             raise ParameterError(
                 f"manifest {name!r} repeats shard ids")
-        tree._forwarding = {
-            (entry[0], entry[1]): (entry[2], entry[3])
-            for entry in manifest.get("forwarding", ())}
+        if version == MANIFEST_FORMAT_VERSION:
+            tree._forwarding = _load_forwarding(store,
+                                                manifest["forwarding"])
+        else:
+            tree._forwarding = _forwarding_from_moves(
+                manifest.get("forwarding", ()))
         tree._next_shard_id = manifest.get("next_shard_id",
                                            max(ids) + 1)
         tree._dir = _Directory(manifest.get("epoch", 0), ids, shards,
@@ -1445,8 +1523,9 @@ class ShardedCompactLTree:
         :meth:`CompactLTree.validate`, that the stride covers the
         tallest shard, that global labels strictly increase across
         shard boundaries, that the directory's position map matches its
-        id order, and that every forwarding chain terminates in a live
-        shard at a valid slot.
+        id order, that every forwarding chain reaches a live shard
+        without cycling, and that every forwarded leaf lands (through
+        :func:`forward`) on a leaf of that shard.
         """
         d = self._dir
         height = max((d.shards[sid].height for sid in d.ids), default=1)
@@ -1472,27 +1551,38 @@ class ShardedCompactLTree:
                 raise InvariantViolation(
                     f"global labels not strictly increasing: "
                     f"{left} >= {right}")
-        for origin, bridge in self._forwarding.items():
-            sid, slot = bridge
-            seen = 0
-            while sid not in d.shards:
-                nxt = self._forwarding.get((sid, slot))
-                if nxt is None:
-                    raise InvariantViolation(
-                        f"forwarding chain from {origin} dead-ends at "
-                        f"({sid}, {slot})")
-                sid, slot = nxt
-                seen += 1
-                if seen > len(self._forwarding):
-                    raise InvariantViolation(
-                        f"forwarding chain from {origin} cycles")
-            tree = d.shards[sid].tree
-            n_slots = d.shards[sid].header.n_slots \
-                if tree is None else len(tree._num)
-            if not 0 <= slot < n_slots:
+        forwarding = self._forwarding
+        # chains follow retired ids: settle the ids whose successors are
+        # live or settled until none is left, so no forward() below can
+        # cycle
+        settled, pending = set(d.shards), dict(forwarding)
+        while pending:
+            ready = [sid for sid, entry in pending.items()
+                     if entry[2] in settled and entry[3] in settled]
+            if not ready:
                 raise InvariantViolation(
-                    f"forwarding chain from {origin} lands outside "
-                    f"shard {sid}'s {n_slots}-slot arena")
+                    f"forwarding chains from shards {sorted(pending)} "
+                    f"cycle or dead-end")
+            settled.update(ready)
+            for sid in ready:
+                del pending[sid]
+        for old_id, (ranks, _cut, _low, _high) in forwarding.items():
+            for slot, rank in enumerate(ranks):
+                if rank < 0:
+                    continue
+                try:
+                    sid, leaf = forward(forwarding, d.shards,
+                                        (old_id, slot))
+                except ValueError:
+                    raise InvariantViolation(
+                        f"forwarding chain from {(old_id, slot)} "
+                        f"dead-ends") from None
+                tree = d.shards[sid].tree
+                if not (0 <= leaf < len(tree._num) and
+                        tree.is_leaf(leaf)):
+                    raise InvariantViolation(
+                        f"forwarding chain from {(old_id, slot)} lands "
+                        f"on ({sid}, {leaf}), not a leaf of that arena")
 
     def __repr__(self) -> str:
         d = self._dir

@@ -28,12 +28,21 @@ override it at runtime with :func:`set_backend` or the
 every bulk operation, so an override takes effect immediately.  The
 per-node reference :class:`repro.core.ltree.LTree` is the oracle both
 backends are tested against.
+
+The same columns also answer the reverse question without a tree walk:
+:func:`leaf_order` reads document order straight off the label and
+height columns (labels spell the leaf order, paper §4.2), and
+:func:`gather_bytes` / :func:`slot_ranks` are the gathers a shard split
+or merge builds its successor arenas and forwarding entries from.
 """
 
 from __future__ import annotations
 
+import operator
+from array import array
 from contextlib import contextmanager
-from typing import Iterator, NamedTuple
+from itertools import compress
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from repro.errors import ParameterError
 
@@ -290,3 +299,79 @@ def _columns_numpy(n: int, arity: int, base: int,
         np.concatenate(first_parts).tolist(),
         np.concatenate(sibling_parts).tolist(),
         root=total - 1, total=total)
+
+
+def leaf_order(num: Sequence[int], height: Sequence[int],
+               deleted: Optional[Sequence[int]] = None) -> Sequence[int]:
+    """Leaf slots in document order, read off the columns alone.
+
+    Leaves are the slots of height 0 — a freed slot is always internal
+    and keeps its height — and leaf labels strictly increase in
+    document order, so sorting the leaf slots by label *is* the order a
+    tree walk yields.  ``num`` and ``height`` are slot-indexed int
+    columns: a live engine's lists or ``array('q')`` columns decoded
+    from an ``LTREEARR`` image.  With ``deleted`` (the tombstone byte
+    column) only live leaves are returned.
+
+    numpy: one ``argsort``, returned as an ``array('q')``; array: one
+    C-level ``sorted`` over ``itertools.compress``, returned as a list.
+    Labels beyond int64 take the exact array path.
+    """
+    if _active == "numpy":
+        try:
+            return _leaf_order_numpy(num, height, deleted)
+        except OverflowError:
+            pass
+    if deleted is None:
+        leaves = map(operator.not_, height)
+    else:
+        leaves = map(operator.not_, map(operator.or_, height, deleted))
+    return sorted(compress(range(len(height)), leaves),
+                  key=num.__getitem__)
+
+
+def _int64(column: Sequence[int]):
+    """``column`` as an int64 ndarray: a view of an ``array('q')``, a
+    copy of a list (raises ``OverflowError`` past int64)."""
+    if isinstance(column, array):
+        return _np.frombuffer(column, dtype=_np.int64)
+    return _np.fromiter(column, dtype=_np.int64, count=len(column))
+
+
+def _leaf_order_numpy(num: Sequence[int], height: Sequence[int],
+                      deleted: Optional[Sequence[int]]) -> array:
+    np = _np
+    mask = _int64(height) == 0
+    if deleted is not None:
+        mask &= np.frombuffer(deleted, dtype=np.uint8) == 0
+    slots = np.flatnonzero(mask)
+    order = slots[np.argsort(_int64(num)[slots])]
+    return array("q", order.astype(np.int64).tobytes())
+
+
+def gather_bytes(column: Sequence[int], order: Sequence[int]) -> bytes:
+    """``bytes(column[slot] for slot in order)`` over a byte column
+    (a run's tombstone marks)."""
+    if _active == "numpy":
+        return _np.frombuffer(column, dtype=_np.uint8)[
+            _int64(order)].tobytes()
+    return bytes(map(column.__getitem__, order))
+
+
+def slot_ranks(order: Sequence[int], n_slots: int,
+               start: int = 0) -> array:
+    """The slot-indexed inverse of ``order``.
+
+    ``ranks[order[k]] == start + k``; every slot ``order`` does not name
+    holds -1.  An ``array('q')`` of ``n_slots`` entries on both
+    backends.
+    """
+    if _active == "numpy":
+        ranks = _np.full(n_slots, -1, dtype=_np.int64)
+        ranks[_int64(order)] = _np.arange(start, start + len(order),
+                                          dtype=_np.int64)
+        return array("q", ranks.tobytes())
+    ranks = array("q", [-1]) * n_slots
+    for rank, slot in enumerate(order, start):
+        ranks[slot] = rank
+    return ranks

@@ -487,10 +487,11 @@ class LabeledDocument:
 
         What a reopen costs: one parse of the stored XML
         (:func:`repro.xml.parser.parse`), the scheme load (shard-lazy
-        for ``ltree-sharded``: only the manifest and the live-leaf
-        sidecars are decoded), and one pass that attaches each token to
-        its restored handle and the handle's payload back to the token;
-        no label is computed.  The parse is the largest part: on the
+        for ``ltree-sharded``: only the manifest is decoded, and each
+        shard's live leaves are derived from its image's columns, one
+        sort per shard), and one pass that attaches each token to its
+        restored handle and the handle's payload back to the token; no
+        label is computed.  The parse is the largest part: on the
         2.3 MB, ~69k-element ``query_serving`` benchmark document it is
         about half of an ``open(concurrent=True)``, the attach pass
         most of the rest, and the scheme load a few percent.
@@ -530,10 +531,11 @@ class LabeledDocument:
                     store, SCHEME_BLOB, stats=stats)
                 reattach = scheme.tree.set_payload
             elif encoding == "sharded-bytes":
-                # shard-lazy: only the manifest and the per-shard live-leaf
-                # sidecars are decoded here; an arena is deserialized the
-                # first time an edit touches it (payload reattachment below
-                # is buffered on still-lazy shards)
+                # shard-lazy: only the manifest is decoded here, and the
+                # handles below come off each image's columns; an arena
+                # is deserialized the first time an edit touches it
+                # (payload reattachment below is buffered on still-lazy
+                # shards)
                 scheme = ShardedListLabeling.load(store, SCHEME_BLOB,
                                                   stats=stats)
                 reattach = scheme.tree.set_payload

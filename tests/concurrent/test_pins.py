@@ -1,10 +1,11 @@
 """Snapshot pins: what ``ConcurrentLTree.snapshot()`` copies and defers.
 
 A pin of a shard written since the last pin carries only the shard's
-byte image: its live-leaf list is walked out of that image on the
-first read that needs it, outside the writer mutex.  A still-lazy
-(sidecar) shard is pinned with the sidecar list it already has.  The
-tests hold every deferred view — ``handles()``, ``labels()``,
+byte image: its live-leaf list is derived from that image's columns on
+the first read that needs it, outside the writer mutex.  A still-lazy
+shard is pinned with its stored image, plus the live list a reader of
+the engine already derived from it, if any.  The tests hold every
+deferred view — ``handles()``, ``labels()``,
 ``label_map()``, ``n_live`` — equal to the engine's at pin time, for
 both kinds of shard, and unchanged by writes, a split and a merge that
 land on the live engine afterwards.  Snapshot epochs are built from the
@@ -75,11 +76,10 @@ class TestDeferredLiveLists:
         expected = _engine_view(tree)
         snapshot = tree.snapshot()
         pinned = _pinned_shards(snapshot)
-        # the written shard was pinned without a leaf walk; the lazy
-        # ones kept their sidecar lists
-        assert pinned[written].live is None
-        assert all(pinned[sid].live is not None
-                   for sid in ids if sid != written)
+        # no pin carries a live list yet: the written shard was pinned
+        # without a leaf pass, the unchanged lazy ones reuse the pins
+        # taken before any reader derived theirs
+        assert all(pinned[sid].live is None for sid in ids)
         # more writes, a split and a merge land before the first read
         _write_into(tree, written)
         _write_into(tree, ids[0])
@@ -88,7 +88,8 @@ class TestDeferredLiveLists:
         tree.append("tail")
         assert _engine_view(tree) != expected
         assert _pinned_view(snapshot) == expected
-        assert pinned[written].live is not None     # derived on demand
+        # derived on demand
+        assert all(pinned[sid].live is not None for sid in ids)
         # and the pin never moves once derived
         tree.merge_shards(left, right)
         assert _pinned_view(snapshot) == expected

@@ -89,8 +89,9 @@ class TestByteRoundTrip:
     def test_free_list_order_survives(self):
         tree = _grown_compact(LTreeParams(f=8, s=2), 300, seed=5)
         # splits drain the free-list eagerly, so park recycled slots on
-        # it through the engine's own allocate/release path
-        parked = [tree._new_node(0) for _ in range(3)]
+        # it through the engine's own allocate/release path — as
+        # internal nodes, the only slots the engine ever releases
+        parked = [tree._new_node(1) for _ in range(3)]
         for slot in parked:
             tree._release(slot)
         assert tree.free_slots == 3
@@ -245,7 +246,7 @@ class TestByteFormatValidation:
 
         tree = CompactLTree(LTreeParams(f=4, s=2))
         tree.bulk_load(range(4))
-        parked = tree._new_node(0)
+        parked = tree._new_node(1)     # the engine only frees internals
         tree._release(parked)
         from repro.core.compact import _HEADER
 

@@ -13,6 +13,7 @@ The contract under test, in order of importance:
   materializes only the shards that are actually written.
 """
 
+import json
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from repro.core.compact import CompactLTree
 from repro.core.params import LTreeParams
 from repro.core.sharded import RebalancePolicy, ShardedCompactLTree
 from repro.core.stats import Counters
-from repro.errors import ParameterError
+from repro.errors import InvariantViolation, ParameterError
 from repro.storage.pages import PageStore
 
 PARAMS = LTreeParams(f=8, s=2)
@@ -231,11 +232,10 @@ class TestPersistence:
         with PageStore(path) as store:
             tree.save(store)
             names = list(store.blobs())
-        assert "scheme" in names
-        # one LTREEARR blob span (plus sidecar) per shard
-        for rank in range(tree.shard_count):
-            assert f"scheme.s{rank}" in names
-            assert f"scheme.s{rank}.leaves" in names
+        # one LTREEARR blob span per shard plus the manifest: no
+        # live-leaf sidecars, and no forwarding blob before a rebalance
+        assert sorted(names) == ["scheme"] + [
+            f"scheme.s{rank}" for rank in range(tree.shard_count)]
         with PageStore(path) as store:
             back = ShardedCompactLTree.load(store, lazy=False)
             assert back.labels() == tree.labels()
@@ -331,8 +331,7 @@ class TestPersistence:
             tree.save(store)
             names = [name for name in store.blobs()
                      if name.startswith("scheme.s")]
-            assert names == ["scheme.s0", "scheme.s0.leaves",
-                             "scheme.s1", "scheme.s1.leaves"]
+            assert names == ["scheme.s0", "scheme.s1"]
             store.vacuum()
         with PageStore(path) as store:
             back = ShardedCompactLTree.load(store, lazy=False)
@@ -341,32 +340,29 @@ class TestPersistence:
     def test_resave_cleanup_survives_crashed_earlier_cleanup(
             self, tmp_path):
         """A cleanup interrupted mid-way leaves gaps in the stale rank
-        sequence and arenas without sidecars; the next save must still
-        drop every stale blob instead of stopping at the first gap (or
-        raising on the missing sidecar)."""
+        sequence; the next save must still drop every stale blob
+        instead of stopping at the first gap."""
         tree, _ = _sharded(48, 6)
         path = str(tmp_path / "gap.ltp")
         with PageStore(path) as store:
             tree.save(store)
             tree.n_shards = 2
             tree.bulk_load(range(9))
-            # simulate the crash window: rank 4 fully dropped, rank 5's
-            # sidecar dropped but its arena left behind
+            # simulate the crash window: ranks 3 and 4 dropped, ranks 2
+            # and 5 left behind
+            store.delete_blob("scheme.s3")
             store.delete_blob("scheme.s4")
-            store.delete_blob("scheme.s4.leaves")
-            store.delete_blob("scheme.s5.leaves")
             tree.save(store)
             names = [blob for blob in store.blobs()
                      if blob.startswith("scheme.s")]
-            assert names == ["scheme.s0", "scheme.s0.leaves",
-                             "scheme.s1", "scheme.s1.leaves"]
+            assert names == ["scheme.s0", "scheme.s1"]
         with PageStore(path) as store:
             back = ShardedCompactLTree.load(store, lazy=False)
             assert back.labels() == tree.labels()
 
     def test_save_is_one_catalog_flip_on_page_store(self, tmp_path):
-        """The whole save batch — arenas, sidecars, manifest — becomes
-        visible under a single catalog flip."""
+        """The whole save batch — arenas, forwarding, manifest —
+        becomes visible under a single catalog flip."""
         tree, _ = _sharded(24, 3)
         path = str(tmp_path / "flip.ltp")
         with PageStore(path) as store:
@@ -381,29 +377,36 @@ class TestPersistence:
             with pytest.raises(ParameterError, match="manifest"):
                 ShardedCompactLTree.load(store)
 
-    def test_corrupt_sidecar_rejected(self, tmp_path):
-        """A torn live-leaf sidecar must raise, not serve bytes of some
-        other column as labels."""
-        from repro.core.compact import _pack_int64
-
-        tree, _ = _sharded(24, 3)
-        path = str(tmp_path / "torn.ltp")
+    def test_live_count_checked_on_first_derivation(self, tmp_path):
+        """No sidecar is stored, so the manifest's live count is the
+        check: an image whose live leaves disagree with it raises when
+        the lazy shard first derives its live list, and a torn arena
+        still fails its manifest CRC at load, before any lazy read."""
+        tree, handles = _sharded(24, 3)
+        tree.mark_deleted(handles[9])
+        path = str(tmp_path / "live.ltp")
         with PageStore(path) as store:
             tree.save(store)
-            good = bytes(store.get_blob("scheme.s1.leaves"))
-            # out-of-arena slot id
-            store.put_blob("scheme.s1.leaves",
-                           _pack_int64([10 ** 6] * (len(good) // 8)))
-            with pytest.raises(ParameterError, match="sidecar"):
+            good = bytes(store.get_blob("scheme"))
+            manifest = json.loads(good)
+            manifest["shards"][1]["live"] += 1
+            store.put_blob("scheme", json.dumps(manifest).encode())
+            back = ShardedCompactLTree.load(store)
+            # point reads never derive a live list
+            assert back.num(handles[9]) == tree.num(handles[9])
+            with pytest.raises(ParameterError, match="live leaves"):
+                back.labels(include_deleted=False)
+            store.put_blob("scheme", good)
+            arena = bytes(store.get_blob("scheme.s1"))
+            torn = bytearray(arena)
+            torn[len(torn) // 2] ^= 0xFF
+            store.put_blob("scheme.s1", bytes(torn))
+            with pytest.raises(ParameterError, match="checksum"):
                 ShardedCompactLTree.load(store)
-            # wrong length vs the manifest
-            store.put_blob("scheme.s1.leaves", good[:-8])
-            with pytest.raises(ParameterError, match="sidecar"):
-                ShardedCompactLTree.load(store)
-            # restored intact, the store opens again
-            store.put_blob("scheme.s1.leaves", good)
-            back = ShardedCompactLTree.load(store, lazy=False)
-            assert back.labels() == tree.labels()
+            store.put_blob("scheme.s1", arena)
+            back = ShardedCompactLTree.load(store)
+            assert back.labels(include_deleted=False) == \
+                tree.labels(include_deleted=False)
 
     def test_flat_and_sharded_coexist_in_one_store(self, tmp_path):
         """Blob namespacing: a flat engine and a sharded one share a
@@ -958,6 +961,49 @@ class TestRebalancePersistence:
                 assert back.num(handle) == tree.num(handle)
             assert back.is_deleted(handles[18])
             back.validate()
+
+    def test_forwarding_blob_is_checked_on_load(self, tmp_path):
+        """The forwarding columns ride in their own blob: a torn one
+        fails its manifest CRC instead of forwarding old handles to
+        wrong leaves, and a compact (which resets the table) drops the
+        blob on the next save."""
+        tree, handles = self._rebalanced()
+        path = str(tmp_path / "fwd.ltp")
+        with PageStore(path) as store:
+            tree.save(store)
+            good = bytes(store.get_blob("scheme.forwarding"))
+            torn = bytearray(good)
+            torn[8] ^= 0x01
+            store.put_blob("scheme.forwarding", bytes(torn))
+            with pytest.raises(ParameterError, match="checksum"):
+                ShardedCompactLTree.load(store)
+            store.put_blob("scheme.forwarding", good)
+            back = ShardedCompactLTree.load(store)
+            assert back.resolve_handle(handles[20]) == \
+                tree.resolve_handle(handles[20])
+            back.compact()
+            back.save(store)
+            assert not store.has_blob("scheme.forwarding")
+            assert ShardedCompactLTree.load(store).labels() == \
+                back.labels()
+
+    def test_validate_rejects_broken_forwarding(self):
+        tree, handles = self._rebalanced()
+        tree.validate()
+        ranks, cut, low, high = tree._forwarding[1]
+        # a chain that loops back through a retired id
+        tree._forwarding[1] = (ranks, cut, 2, 2)
+        tree._forwarding[2] = (tree._forwarding[2][0], cut, 1, 1)
+        with pytest.raises(InvariantViolation, match="cycle"):
+            tree.validate()
+        # a rank past the successor's leaves
+        tree, handles = self._rebalanced()
+        ranks, cut, low, high = tree._forwarding[1]
+        bogus = ranks[:]
+        bogus[handles[20][1]] = 10 ** 6
+        tree._forwarding[1] = (bogus, cut, low, high)
+        with pytest.raises(InvariantViolation, match="not a leaf"):
+            tree.validate()
 
     def test_reloaded_tree_continues_id_sequence(self, tmp_path):
         tree, _ = self._rebalanced()
