@@ -9,6 +9,10 @@ import pytest
 
 from repro.core import tuning
 
+#: the optimizer under benchmark needs the gated scientific stack
+pytestmark = pytest.mark.skipif(
+    not tuning.HAS_SCIPY_STACK, reason="needs numpy + scipy")
+
 N0 = 1 << 20
 
 

@@ -5,13 +5,11 @@ and asserts the paper's qualitative ordering inside the runs.  The
 engine head-to-head section pits the array-backed ``ltree-compact``
 engine against the node-object ``ltree`` on identical workloads, so the
 compact engine's speedup (or any regression) is a tracked number in the
-benchmark report, not a claim.  The same applies to the vectorized
-column builders: ``test_bulk_load_vectorized_speedup`` is the acceptance
-gate holding the numpy and pure-Python batch paths to >= 6x and >= 2.6x
-over the per-node reference ``LTree.bulk_load``.
+benchmark report, not a claim.  The vectorized column builders' speedup
+over the per-node reference ``LTree.bulk_load`` is a row of the gate
+table in ``benchmarks/compare_baselines.py``, over ``run_all.py``'s
+``bulk_load`` suite.
 """
-
-import time
 
 import pytest
 
@@ -79,55 +77,6 @@ def test_engine_bulk_load(benchmark, engine):
 
     tree = benchmark.pedantic(run, rounds=3, iterations=1)
     assert tree.n_leaves == N_BULK
-
-
-def _best_bulk_seconds(engine, n, rounds=5):
-    """Best-of-N wall time of bulk-loading ``n`` leaves on ``engine``."""
-    best = float("inf")
-    for _ in range(rounds):
-        tree = engine(ENGINE_PARAMS)
-        start = time.perf_counter()
-        tree.bulk_load(range(n))
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def test_bulk_load_vectorized_speedup(benchmark, request):
-    """Acceptance gate: the columnar bulk load beats the per-node
-    reference ``LTree.bulk_load`` by >= 6x under numpy and >= 2.6x
-    under the pure-Python batch path.
-
-    The thresholds are double the old ones against the per-slot
-    builder, which ran about 2x faster than the reference.  At 100k
-    leaves on a 2-vCPU VM the numpy path lands at 6.4-10x and the pure
-    path at 5.6-8.4x, so a pass certifies the vectorized column builders
-    are actually engaged, not a lucky timer read.  Each side is the
-    best of five loads, so one slow scheduler slice on a shared runner
-    cannot fail the numpy leg's thinner margin.  Skipped under
-    ``--benchmark-disable`` (like the persistence gate): a wall-clock
-    ratio on a noisy smoke runner would flap; CI runs this gate by
-    explicit node id with timers live.
-    """
-    if request.config.getoption("benchmark_disable"):
-        pytest.skip("wall-clock gate needs timers (smoke run)")
-
-    def compact_seconds(backend):
-        with vectorized.use_backend(backend):
-            return _best_bulk_seconds(CompactLTree, N_BULK)
-
-    def run():
-        reference = _best_bulk_seconds(LTree, N_BULK)
-        ratios = {"array": reference / compact_seconds("array")}
-        if vectorized.HAS_NUMPY:
-            ratios["numpy"] = reference / compact_seconds("numpy")
-        assert ratios["array"] >= 2.6, ratios
-        if vectorized.HAS_NUMPY:
-            assert ratios["numpy"] >= 6.0, ratios
-        return ratios
-
-    ratios = benchmark.pedantic(run, rounds=1, iterations=1)
-    for backend, ratio in ratios.items():
-        benchmark.extra_info[f"speedup_{backend}"] = round(ratio, 2)
 
 
 def test_vectorized_backends_label_identical(benchmark):

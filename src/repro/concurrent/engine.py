@@ -123,24 +123,6 @@ class LabelSnapshot:
         """
         return dict(self.epoch[1:])
 
-    def delta_since(self, previous_epoch: tuple
-                    ) -> tuple[set[int], set[int]]:
-        """Shard-level delta export against an older pin's epoch.
-
-        Returns ``(dirty, vanished)``: ids in this snapshot whose write
-        version differs from (or is absent in) ``previous_epoch``, and
-        ids of the old pin that left the membership (rebalanced away —
-        their handles still resolve through :meth:`resolve` while the
-        forwarding chain holds).  Equal epochs yield two empty sets: the
-        caller can splice instead of re-shredding.
-        """
-        old = dict(previous_epoch[1:])
-        new = self.shard_versions()
-        dirty = {sid for sid, version in new.items()
-                 if old.get(sid) != version}
-        vanished = set(old) - set(new)
-        return dirty, vanished
-
     def resolve(self, handle: tuple[int, int]) -> tuple[int, int]:
         """The pin-time ``(shard_id, slot)`` a handle denotes.
 

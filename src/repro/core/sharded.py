@@ -666,13 +666,6 @@ class ShardedCompactLTree:
         """Whether ``shard_id`` names a current-epoch shard."""
         return shard_id in self._dir.shards
 
-    def shard_position(self, shard_id: int) -> int:
-        """Document-order position of a current shard id."""
-        position = self._dir.positions.get(shard_id)
-        if position is None:
-            raise ValueError(f"no shard with id {shard_id}")
-        return position
-
     def _shard_by_id(self, shard_id: int) -> _Shard:
         shard = self._dir.shards.get(shard_id)
         if shard is None:
@@ -929,12 +922,6 @@ class ShardedCompactLTree:
     def payloads(self, include_deleted: bool = True) -> list[Any]:
         return [self.payload(handle)
                 for handle in self.iter_leaves(include_deleted)]
-
-    def shard_version(self, shard_id: int) -> int:
-        """Write version of one arena (bumps on every label-affecting
-        mutation and on :meth:`compact`; fresh split/merge/bulk-load
-        products restart at 1)."""
-        return self._shard_by_id(shard_id).write_version
 
     def shard_versions(self) -> dict[int, int]:
         """``shard id -> write version`` for the whole directory — the
