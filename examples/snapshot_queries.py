@@ -2,7 +2,7 @@
 
 Run:  python examples/snapshot_queries.py
 
-PR 5 gave the sharded engine zero-lock ``LabelSnapshot`` pins; this
+The sharded engine hands out zero-lock ``LabelSnapshot`` pins; this
 walkthrough shows the query layer cashing them in:
 
 1. an XMark-like document is labeled with the **sharded** L-Tree scheme,
@@ -13,10 +13,9 @@ walkthrough shows the query layer cashing them in:
    straight off the snapshot's frozen per-shard byte images — no locks,
    no live-engine reads, one bulk extraction for the whole store;
 3. **writer threads** hammer the live engine the whole time while the
-   main thread evaluates XPath through the vectorized columnar engine
-   (``parallel=True`` fans each axis pass out over the per-shard
-   segments).  Every result is identical to the pre-pin evaluation —
-   the pin means writers can never smear a query;
+   main thread evaluates XPath through the vectorized columnar engine,
+   one serial pass per axis step.  Every result is identical to the
+   pre-pin evaluation — the pin means writers can never smear a query;
 4. re-pinning *after* the writers finish shows the other half of the
    contract: a fresh snapshot sees every committed write — and the
    **incremental** re-pin (``store.repin``) splices only the shards the
@@ -68,9 +67,8 @@ def main() -> None:
 
         # -- pin once: columns come off frozen byte images ------------
         store = ColumnarStore.from_snapshot(doc, tree.snapshot())
-        print(f"pinned {len(store)} elements across "
-              f"{len(store.shard_slices)} shard segments "
-              f"({store.backend} backend)")
+        print(f"pinned {len(store)} elements from "
+              f"{tree.shard_count} shards ({store.backend} backend)")
 
         # -- query while writers mutate the live engine ---------------
         stop = threading.Event()
@@ -84,8 +82,7 @@ def main() -> None:
         try:
             for round_number in range(5):
                 for query, truth in zip(queries, expected):
-                    result = evaluate_columnar(store, query,
-                                               parallel=True)
+                    result = evaluate_columnar(store, query)
                     assert [id(e) for e in result] == truth, str(query)
             print("5 rounds x", len(queries),
                   "queries: all identical to the pre-pin evaluation")
@@ -116,7 +113,7 @@ def main() -> None:
             for step in range(10):
                 tree.insert_after(anchors[step], ("batch", batch, step))
             store = store.repin(doc, tree.snapshot())
-            session = QuerySession(store, parallel=True)
+            session = QuerySession(store)
             for query, truth in zip(queries, expected):
                 assert [id(e) for e in session.evaluate(query)] == truth
         print("3 edit-then-serve batches: incremental pins stayed "

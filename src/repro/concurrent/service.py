@@ -268,7 +268,6 @@ class ConcurrentDocument:
     def open(cls, directory: str, sync: bool = False,
              group_commit: Optional[int] = 64,
              stats: Counters = NULL_COUNTERS,
-             shard_stats: bool = False,
              rebalance_policy: Optional[RebalancePolicy] = None
              ) -> "ConcurrentDocument":
         """Recover a service: last checkpoint + replayed WAL tail.
@@ -326,17 +325,15 @@ class ConcurrentDocument:
                     f"records {checkpoint_seq + 1}..{wal.base_seq - 1} "
                     f"are missing")
             if store.has_blob(SCHEME_BLOB):
-                engine = ShardedCompactLTree.load(
-                    store, SCHEME_BLOB, stats=stats,
-                    shard_stats=shard_stats)
+                engine = ShardedCompactLTree.load(store, SCHEME_BLOB,
+                                                  stats=stats)
             else:
                 # crashed (or never checkpointed) before the first
                 # checkpoint: everything lives in the WAL
                 engine = ShardedCompactLTree(
                     params, stats,
                     violator_policy=meta["violator_policy"],
-                    n_shards=meta["n_shards"],
-                    shard_stats=shard_stats)
+                    n_shards=meta["n_shards"])
             failpoint("service:open:pre-replay", directory=directory)
             replay_start = time.perf_counter()
             replayed = 0

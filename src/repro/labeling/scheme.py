@@ -179,6 +179,10 @@ class LabeledDocument:
         #: page store this document owns (set by ``open`` from a path)
         self.store: Optional[Any] = None
         self._owns_store = False
+        #: subtree inserts plus subtree deletes so far; a pinned
+        #: columnar store re-pins by splicing only while this is
+        #: unchanged, because a DOM edit moves element positions
+        self.structural_edits = 0
         self._bulk_label()
 
     def _bulk_label(self) -> None:
@@ -296,6 +300,7 @@ class LabeledDocument:
                 f"index {index} out of range 0..{len(parent.children)}")
         anchor = self._anchor_before(parent, index)
         parent.insert_child(index, subtree)
+        self.structural_edits += 1
         pairs = list(_emit_tokens(subtree))
         handles = self.scheme.insert_run_after(
             anchor, pairs)
@@ -345,6 +350,7 @@ class LabeledDocument:
         """
         if node.parent is None:
             raise ValueError("cannot delete the document root")
+        self.structural_edits += 1
         for kind, member in _emit_tokens(node):
             handles = self._handles(member)
             if kind == BEGIN:
@@ -560,6 +566,7 @@ class LabeledDocument:
             labeled.stats = stats
             labeled.store = store if owns_store else None
             labeled._owns_store = owns_store
+            labeled.structural_edits = 0
             pairs = list(_emit_tokens(document.root))
             handles = list(scheme.handles())
             if len(pairs) != len(handles):

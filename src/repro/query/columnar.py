@@ -11,11 +11,11 @@ tuple-at-a-time over boxed Python triples; this module executes it as
 
 * a :class:`ColumnarStore` shreds a labeled document once into
   per-element ``(begin, end, level)`` columns plus a per-tag position
-  index, grouped into contiguous per-shard segments.  Inputs come from
-  the document's label reads, or, for lock-free reads under live
-  writers, the frozen per-shard byte images of a pinned
-  :class:`repro.concurrent.engine.LabelSnapshot` via its
-  ``label_column(shard_id)`` hook — one column decode per shard;
+  index.  Inputs come from the document's label reads, or, for
+  lock-free reads under live writers, the frozen per-shard byte
+  images of a pinned :class:`repro.concurrent.engine.LabelSnapshot`
+  via its ``label_column(shard_id)`` hook — one column decode per
+  shard;
 * :func:`evaluate_columnar` runs each axis step as one vectorized
   containment pass: context intervals sorted by ``begin``, a running
   ``maximum.accumulate`` over their ``end``s, and one ``searchsorted``
@@ -24,7 +24,8 @@ tuple-at-a-time over boxed Python triples; this module executes it as
   before me ends after me"* is exactly *"some context interval
   contains me"* — an existence test, no pair materialization.  Child
   steps add the paper's level-adjacency check by running the same pass
-  per candidate level against the context subset one level up.
+  per candidate level against the context subset one level up.  It is
+  a one-query :class:`QuerySession`.
 
 Three batching layers keep a *stream* of queries cheap, not just one:
 
@@ -37,8 +38,10 @@ Three batching layers keep a *stream* of queries cheap, not just one:
   (element list and its object array, levels, the per-tag index, the
   predicate memo, the gather indices) are shared outright, because
   engine-level writes move labels, never element positions or a live
-  shard's slots.
-  Shards rebalanced away since the previous pin are handled
+  shard's slots.  A DOM edit through the
+  :class:`~repro.labeling.scheme.LabeledDocument` does move element
+  positions, so a re-pin after one (or against another document)
+  rebuilds.  Shards rebalanced away since the previous pin are handled
   forwarding-table-aware (their cached handles are re-resolved through
   the snapshot's forwarding view); a directory epoch jump that keeps
   the membership (compact, bulk reload — slot maps may have been
@@ -57,9 +60,8 @@ Backend discipline mirrors :mod:`repro.core.vectorized`: the numpy
 int64 path is used when the active backend is ``numpy`` and every
 label fits int64; otherwise a pure-Python ``array('q')``/``bisect``
 path computes the same passes (plain lists above int64, so results are
-always exact).  ``parallel=True`` evaluates the per-shard candidate
-segments of each pass concurrently — safe against a pinned snapshot,
-whose columns no writer can touch, so queries run lock-free under live
+always exact).  A store pinned from a snapshot holds columns no writer
+can touch, so queries over it run lock-free under live
 :class:`~repro.concurrent.engine.ConcurrentLTree` /
 :class:`~repro.concurrent.service.ConcurrentDocument` writers.
 
@@ -74,12 +76,12 @@ from __future__ import annotations
 import bisect
 import time
 from array import array
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Iterable, Optional, Sequence
 
 from repro.core import vectorized
 from repro.obs import METRICS, TRACER
 from repro.core.stats import NULL_COUNTERS, Counters
+from repro.errors import ParameterError
 from repro.query.xpath import CHILD, Step, XPathQuery
 from repro.xml.model import XMLElement
 
@@ -100,24 +102,29 @@ def _use_numpy(max_label: int) -> bool:
 class _PinState:
     """What an incremental re-pin needs to splice instead of rebuild.
 
-    Captured by ``from_snapshot``: the pinned epoch's per-shard write
-    versions and prefixes, and per shard the ``(positions, slots)``
-    gather indices of the ``begin`` and of the ``end`` column — which
-    element positions the shard's labels feed, read from which of its
-    slots (the two columns are indexed separately: an element spanning
+    Captured by ``from_snapshot``: the labeled document pinned and its
+    structural edit count, the pinned epoch's per-shard write versions
+    and prefixes, and per shard the ``(positions, slots)`` gather
+    indices of the ``begin`` and of the ``end`` column — which element
+    positions the shard's labels feed, read from which of its slots
+    (the two columns are indexed separately: an element spanning
     shards, like the root, draws its two labels from two different
-    arenas).  Positions are DOM-stable and a shard keeps its slots for
-    as long as its id lives, so the indices carry over from re-pin to
-    re-pin; only shards that receive a vanished shard's positions get
-    new ones.
+    arenas).  Positions hold while the document and its edit count do,
+    and a shard keeps its slots for as long as its id lives, so the
+    indices carry over from re-pin to re-pin; only shards that receive
+    a vanished shard's positions get new ones.
     """
 
-    __slots__ = ("versions", "prefixes", "begin_gathers", "end_gathers")
+    __slots__ = ("labeled", "structural_edits", "versions", "prefixes",
+                 "begin_gathers", "end_gathers")
 
-    def __init__(self, versions: dict[int, int],
+    def __init__(self, labeled: Any, structural_edits: int,
+                 versions: dict[int, int],
                  prefixes: dict[int, int],
                  begin_gathers: dict[int, tuple[Any, Any]],
                  end_gathers: dict[int, tuple[Any, Any]]):
+        self.labeled = labeled
+        self.structural_edits = structural_edits
         self.versions = versions
         self.prefixes = prefixes
         self.begin_gathers = begin_gathers
@@ -132,14 +139,11 @@ class ColumnarStore:
     :class:`~repro.concurrent.engine.LabelSnapshot`'s frozen byte
     images — the lock-free path).  Elements are stored in document
     order, so the ``begin`` column is strictly increasing and
-    positions double as document-order ranks; contiguous runs of
-    elements whose begin handle lives in the same shard form the
-    per-shard segments ``parallel`` evaluation fans out over.
+    positions double as document-order ranks.
     """
 
     def __init__(self, elements: list[XMLElement],
                  begins: list[int], ends: list[int], levels: list[int],
-                 shard_slices: list[tuple[int, int]],
                  stats: Counters = NULL_COUNTERS):
         self.stats = stats
         self.elements = elements
@@ -162,9 +166,6 @@ class ColumnarStore:
             self._begin = kind("q", begins) if kind is array else begins
             self._end = kind("q", ends) if kind is array else ends
             self._level = array("q", levels) if kind is array else levels
-        #: contiguous (start, stop) element-position ranges, one per
-        #: shard that holds at least one element's begin handle
-        self.shard_slices = shard_slices
         by_tag: dict[str, list[int]] = {}
         for position, element in enumerate(elements):
             by_tag.setdefault(element.tag, []).append(position)
@@ -199,46 +200,19 @@ class ColumnarStore:
         begins: list[int] = []
         ends: list[int] = []
         levels: list[int] = []
-        ranks: list[int] = []
-        for element, begin_handle, _end_handle, level in \
-                labeled.element_handles():
+        for element, _begin, _end, level in labeled.element_handles():
             region = labeled.region(element)
             elements.append(element)
             begins.append(region.begin)
             ends.append(region.end)
             levels.append(level)
-            ranks.append(begin_handle[0]
-                         if isinstance(begin_handle, tuple) else 0)
-        return cls(elements, begins, ends, levels,
-                   _rank_slices(ranks), stats)
+        return cls(elements, begins, ends, levels, stats)
 
     @classmethod
     def from_snapshot(cls, labeled: Any, snapshot: Any,
                       stats: Counters = NULL_COUNTERS,
                       previous: Optional["ColumnarStore"] = None
                       ) -> "ColumnarStore":
-        """Shred against a pinned label snapshot (instrumented wrapper
-        — contract and incremental semantics on the impl below)."""
-        if not (METRICS.enabled or TRACER.enabled):
-            return cls._from_snapshot_impl(labeled, snapshot, stats,
-                                           previous)
-        kind = "query.repin" if previous is not None else "query.pin"
-        t0 = time.perf_counter()
-        with TRACER.span(kind) as span:
-            store = cls._from_snapshot_impl(labeled, snapshot, stats,
-                                            previous)
-            span.set(elements=len(store.elements),
-                     unchanged=store is previous)
-        if METRICS.enabled:
-            METRICS.observe(kind + ".seconds", time.perf_counter() - t0)
-            METRICS.inc(kind + "s")
-        return store
-
-    @classmethod
-    def _from_snapshot_impl(cls, labeled: Any, snapshot: Any,
-                            stats: Counters = NULL_COUNTERS,
-                            previous: Optional["ColumnarStore"] = None
-                            ) -> "ColumnarStore":
         """Shred against a pinned label snapshot (lock-free inputs).
 
         One structural DOM pass collects each element's ``(shard_id,
@@ -264,44 +238,54 @@ class ColumnarStore:
         index and the predicate memo are spliced/shared from the cache
         (see the module docstring for the exact fallback rules; the
         result is byte-identical to a full rebuild either way).  When
-        nothing changed at all, ``previous`` itself is returned.
+        nothing changed at all, ``previous`` itself is returned.  Each
+        call is one ``query.pin`` or ``query.repin`` span and metric.
         """
-        if previous is not None:
-            spliced = cls._splice_from(previous, snapshot, stats)
-            if spliced is not None:
-                return spliced
-        elements: list[XMLElement] = []
-        begin_handles: list[tuple[int, int]] = []
-        end_handles: list[tuple[int, int]] = []
-        levels: list[int] = []
-        resolve = getattr(snapshot, "resolve", lambda handle: handle)
-        for element, begin_handle, end_handle, level in \
-                labeled.element_handles():
-            elements.append(element)
-            begin_handles.append(resolve(begin_handle))
-            end_handles.append(resolve(end_handle))
-            levels.append(level)
-        columns: dict[int, Sequence[int]] = {}
+        kind = "query.repin" if previous is not None else "query.pin"
+        t0 = time.perf_counter()
+        with TRACER.span(kind) as span:
+            store = None
+            if previous is not None:
+                store = cls._splice_from(previous, labeled, snapshot,
+                                         stats)
+            if store is None:
+                elements: list[XMLElement] = []
+                begin_handles: list[tuple[int, int]] = []
+                end_handles: list[tuple[int, int]] = []
+                levels: list[int] = []
+                resolve = getattr(snapshot, "resolve", lambda handle: handle)
+                for element, begin_handle, end_handle, level in \
+                        labeled.element_handles():
+                    elements.append(element)
+                    begin_handles.append(resolve(begin_handle))
+                    end_handles.append(resolve(end_handle))
+                    levels.append(level)
+                columns: dict[int, Sequence[int]] = {}
 
-        def column(shard_id: int) -> Sequence[int]:
-            cached = columns.get(shard_id)
-            if cached is None:
-                cached = columns[shard_id] = \
-                    snapshot.label_column(shard_id)
-            return cached
+                def column(shard_id: int) -> Sequence[int]:
+                    cached = columns.get(shard_id)
+                    if cached is None:
+                        cached = columns[shard_id] = \
+                            snapshot.label_column(shard_id)
+                    return cached
 
-        begins = _compose_labels(begin_handles, column,
-                                 snapshot.shard_prefix)
-        ends = _compose_labels(end_handles, column,
-                               snapshot.shard_prefix)
-        ids = [handle[0] for handle in begin_handles]
-        store = cls(elements, begins, ends, levels,
-                    _rank_slices(ids), stats)
-        store._remember_pin(snapshot, begin_handles, end_handles)
-        stats.shards_reextracted += len(columns)
+                store = cls(elements,
+                            _compose_labels(begin_handles, column,
+                                            snapshot.shard_prefix),
+                            _compose_labels(end_handles, column,
+                                            snapshot.shard_prefix),
+                            levels, stats)
+                store._remember_pin(labeled, snapshot, begin_handles,
+                                    end_handles)
+                stats.shards_reextracted += len(columns)
+            span.set(elements=len(store.elements),
+                     unchanged=store is previous)
+        if METRICS.enabled:
+            METRICS.observe(kind + ".seconds", time.perf_counter() - t0)
+            METRICS.inc(kind + "s")
         return store
 
-    def _remember_pin(self, snapshot: Any,
+    def _remember_pin(self, labeled: Any, snapshot: Any,
                       begin_handles: list[tuple[int, int]],
                       end_handles: list[tuple[int, int]]) -> None:
         """Capture the :class:`_PinState` a future re-pin splices from
@@ -314,24 +298,30 @@ class ColumnarStore:
         prefixes = {sid: snapshot.shard_prefix(sid)
                     for sid in set(begin_gathers) | set(end_gathers)}
         self.pinned_epoch = epoch
-        self._pin = _PinState(dict(epoch[1:]), prefixes,
+        self._pin = _PinState(labeled, labeled.structural_edits,
+                              dict(epoch[1:]), prefixes,
                               begin_gathers, end_gathers)
 
     @classmethod
-    def _splice_from(cls, previous: "ColumnarStore", snapshot: Any,
-                     stats: Counters) -> Optional["ColumnarStore"]:
+    def _splice_from(cls, previous: "ColumnarStore", labeled: Any,
+                     snapshot: Any, stats: Counters
+                     ) -> Optional["ColumnarStore"]:
         """The incremental re-pin: patch only dirty shards' labels.
 
         Returns ``None`` whenever splicing cannot be *proven* identical
-        to a full rebuild — no pin state, a backend flip, beyond-int64
-        columns, a membership-preserving directory-epoch jump (compact
-        / bulk reload may have remapped slots behind unchanged ids), a
-        broken forwarding chain, or labels leaving int64 — and the
-        caller rebuilds from scratch.
+        to a full rebuild — no pin state, another document or a DOM
+        edit since the pin (element positions moved), a backend flip,
+        beyond-int64 columns, a membership-preserving directory-epoch
+        jump (compact / bulk reload may have remapped slots behind
+        unchanged ids), a broken forwarding chain, or labels leaving
+        int64 — and the caller rebuilds from scratch.
         """
         pin = previous._pin
         epoch = getattr(snapshot, "epoch", None)
         if pin is None or not isinstance(epoch, tuple) or not epoch:
+            return None
+        if pin.labeled is not labeled or \
+                pin.structural_edits != labeled.structural_edits:
             return None
         if epoch == previous.pinned_epoch:
             stats.shards_reused += len(pin.versions)
@@ -419,14 +409,12 @@ class ColumnarStore:
         store._begin = begins
         store._end = ends
         store._level = previous._level
-        store.shard_slices = _gather_slices(begin_gathers,
-                                            len(previous.elements)) \
-            if vanished else previous.shard_slices
         store._by_tag = previous._by_tag
         store._all = previous._all
         store._predicate_cache = previous._predicate_cache
         store.pinned_epoch = epoch
-        store._pin = _PinState(new_versions, prefixes,
+        store._pin = _PinState(labeled, pin.structural_edits,
+                               new_versions, prefixes,
                                begin_gathers, end_gathers)
         stats.shards_reused += reused
         stats.shards_reextracted += len(dirty)
@@ -572,35 +560,6 @@ def _retarget(begin_gathers: dict, end_gathers: dict,
     return result[0], result[1], retargeted
 
 
-def _gather_slices(begin_gathers: dict, n_elements: int
-                   ) -> list[tuple[int, int]]:
-    """:func:`_rank_slices` of the shard ids the begin gathers assign
-    to each element position."""
-    ranks = [0] * n_elements
-    for sid, (positions, _slots) in begin_gathers.items():
-        for position in positions.tolist():
-            ranks[position] = sid
-    return _rank_slices(ranks)
-
-
-def _rank_slices(ranks: list[int]) -> list[tuple[int, int]]:
-    """Contiguous (start, stop) runs of equal shard rank.
-
-    Document order sorts begin labels, and a shard's labels all precede
-    the next shard's, so ranks are non-decreasing — the runs partition
-    the position space.
-    """
-    slices: list[tuple[int, int]] = []
-    start = 0
-    for position in range(1, len(ranks)):
-        if ranks[position] != ranks[start]:
-            slices.append((start, position))
-            start = position
-    if ranks:
-        slices.append((start, len(ranks)))
-    return slices
-
-
 def _compose_labels(handles: list[tuple[int, int]], column, prefix_of
                     ) -> list[int]:
     """Global labels of ``(shard_id, slot)`` handles via per-shard
@@ -636,38 +595,6 @@ def _compose_labels(handles: list[tuple[int, int]], column, prefix_of
 # ---------------------------------------------------------------------------
 # the vectorized axis-step passes
 # ---------------------------------------------------------------------------
-def _chunks(cand, shard_slices, parallel: bool):
-    """Split candidate positions into per-shard runs (or one run)."""
-    if not parallel or len(shard_slices) < 2 or len(cand) == 0:
-        return [cand]
-    out = []
-    if _np is not None and isinstance(cand, _np.ndarray):
-        bounds = _np.searchsorted(
-            cand, _np.asarray([stop for _, stop in shard_slices[:-1]]))
-        prev = 0
-        for bound in list(bounds) + [len(cand)]:
-            if bound > prev:
-                out.append(cand[prev:bound])
-            prev = bound
-        return out or [cand]
-    prev = 0
-    for _, stop in shard_slices[:-1]:
-        bound = bisect.bisect_left(cand, stop, prev)
-        if bound > prev:
-            out.append(cand[prev:bound])
-        prev = bound
-    if prev < len(cand):
-        out.append(cand[prev:])
-    return out or [cand]
-
-
-def _run_chunks(worker, chunks, parallel: bool):
-    if len(chunks) == 1 or not parallel:
-        return [worker(chunk) for chunk in chunks]
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        return list(pool.map(worker, chunks))
-
-
 def _prepare_context(store: ColumnarStore, context, child_axis: bool):
     """Sorted-context structures of one containment pass, hoisted.
 
@@ -675,11 +602,9 @@ def _prepare_context(store: ColumnarStore, context, child_axis: bool):
     prefix-maximum over its ends.  Child axis: the same pair per
     distinct context level (the level-adjacency predicate restricts
     each candidate level to the context subset one level up).  Built
-    once per step — *outside* the per-chunk workers, so
-    ``parallel=True`` fans out over a single shared preparation on
-    both backends instead of re-deriving it — and cacheable by a
-    :class:`QuerySession`, which reuses it across batched queries
-    whose next step starts from the same context.
+    once per context and cached by the :class:`QuerySession`, which
+    reuses it across batched queries whose next step starts from the
+    same context.
     """
     begin, end, level = store._begin, store._end, store._level
     if store.backend == "numpy":
@@ -714,8 +639,8 @@ def _prepare_context(store: ColumnarStore, context, child_axis: bool):
     return (ctx_begin, ctx_maxend)
 
 
-def _match_step(store: ColumnarStore, context, cand, child_axis: bool,
-                stats: Counters, parallel: bool, prepared=None):
+def _match_step(store: ColumnarStore, cand, child_axis: bool,
+                stats: Counters, prepared):
     """Candidate positions with a (suitably-leveled) context ancestor.
 
     One batch pass: context intervals sorted by begin, prefix-maximum
@@ -723,50 +648,34 @@ def _match_step(store: ColumnarStore, context, cand, child_axis: bool,
     candidate.  Laminarity makes the existence test containment (see
     module docstring); the child axis adds the level-adjacency
     predicate by restricting the context to ``level - 1`` per distinct
-    candidate level.  ``prepared`` short-circuits the context
-    preparation with a cached :func:`_prepare_context` result.
+    candidate level.  ``prepared`` is the context's
+    :func:`_prepare_context` result, ``None`` for an empty context.
     """
-    if len(context) == 0 or len(cand) == 0:
+    if prepared is None or len(cand) == 0:
         return cand[:0]
     stats.comparisons += 2 * len(cand)
-    if prepared is None:
-        prepared = _prepare_context(store, context, child_axis)
     if store.backend == "numpy":
-        return _match_numpy(store, prepared, cand, child_axis, parallel)
-    return _match_python(store, prepared, cand, child_axis, parallel)
+        return _match_numpy(store, prepared, cand, child_axis)
+    return _match_python(store, prepared, cand, child_axis)
 
 
-def _match_numpy(store: ColumnarStore, prepared, cand, child_axis: bool,
-                 parallel: bool):
+def _match_numpy(store: ColumnarStore, prepared, cand, child_axis: bool):
     np = _np
     begin, end, level = store._begin, store._end, store._level
-    if child_axis:
-        by_parent_level = prepared
-
-        def worker(chunk):
-            mask = np.zeros(len(chunk), dtype=bool)
-            chunk_levels = level[chunk]
-            for child_level in \
-                    np.flatnonzero(np.bincount(chunk_levels)).tolist():
-                pair = by_parent_level.get(child_level - 1)
-                if pair is None:
-                    continue
-                sub = chunk_levels == child_level
-                mask[sub] = _exists_containing(
-                    pair[0], pair[1],
-                    begin[chunk[sub]], end[chunk[sub]])
-            return chunk[mask]
-    else:
+    if not child_axis:
         ctx_begin, ctx_maxend = prepared
-
-        def worker(chunk):
-            mask = _exists_containing(ctx_begin, ctx_maxend,
-                                      begin[chunk], end[chunk])
-            return chunk[mask]
-
-    parts = _run_chunks(worker, _chunks(cand, store.shard_slices,
-                                        parallel), parallel)
-    return np.concatenate(parts) if len(parts) > 1 else parts[0]
+        return cand[_exists_containing(ctx_begin, ctx_maxend,
+                                       begin[cand], end[cand])]
+    mask = np.zeros(len(cand), dtype=bool)
+    cand_levels = level[cand]
+    for child_level in np.flatnonzero(np.bincount(cand_levels)).tolist():
+        pair = prepared.get(child_level - 1)
+        if pair is None:
+            continue
+        sub = cand_levels == child_level
+        mask[sub] = _exists_containing(pair[0], pair[1],
+                                       begin[cand[sub]], end[cand[sub]])
+    return cand[mask]
 
 
 def _exists_containing(ctx_begin, ctx_maxend, d_begin, d_end):
@@ -785,14 +694,11 @@ def _exists_containing(ctx_begin, ctx_maxend, d_begin, d_end):
     return ok
 
 
-def _match_python(store: ColumnarStore, prepared, cand, child_axis: bool,
-                  parallel: bool):
+def _match_python(store: ColumnarStore, prepared, cand, child_axis: bool):
     begin, end, level = store._begin, store._end, store._level
     if child_axis:
-        by_parent_level = prepared
-
         def contains(position: int) -> bool:
-            pair = by_parent_level.get(level[position] - 1)
+            pair = prepared.get(level[position] - 1)
             if pair is None:
                 return False
             idx = bisect.bisect_left(pair[0], begin[position]) - 1
@@ -804,15 +710,8 @@ def _match_python(store: ColumnarStore, prepared, cand, child_axis: bool,
             idx = bisect.bisect_left(ctx_begin, begin[position]) - 1
             return idx >= 0 and ctx_maxend[idx] > end[position]
 
-    def worker(chunk):
-        return [position for position in chunk if contains(position)]
-
-    parts = _run_chunks(worker, _chunks(cand, store.shard_slices,
-                                        parallel), parallel)
-    merged: list[int] = []
-    for part in parts:
-        merged.extend(part)
-    return store._positions(merged)
+    return store._positions([position for position in cand
+                             if contains(position)])
 
 
 # ---------------------------------------------------------------------------
@@ -832,8 +731,7 @@ def _first_step_positions(store: ColumnarStore, step: Step,
 
 
 def evaluate_columnar(store: Any, query: XPathQuery,
-                      stats: Counters = NULL_COUNTERS,
-                      parallel: bool = False) -> list[XMLElement]:
+                      stats: Counters = NULL_COUNTERS) -> list[XMLElement]:
     """Batch range-intersection XPath evaluation (module docstring).
 
     ``store`` is a :class:`ColumnarStore` — or an
@@ -845,28 +743,11 @@ def evaluate_columnar(store: Any, query: XPathQuery,
     Attribute predicates are pushed down into candidate generation
     (filtered before the containment join — commutative with the
     post-filter plan, because the predicate reads only the element).
-    ``parallel=True`` fans each step's candidate pass out over the
-    store's per-shard segments.  For a *batch* of queries against one
-    store, prefer a :class:`QuerySession`, which shares work between
-    them.
+    This is a one-query :class:`QuerySession`; for a *batch* of
+    queries against one store, keep the session, which shares work
+    between them.
     """
-    if not isinstance(store, ColumnarStore):
-        store = store.columnar()
-    obs = METRICS.enabled
-    t0 = time.perf_counter() if obs else 0.0
-    positions = _first_step_positions(store, query.steps[0], stats)
-    if obs:
-        METRICS.observe("query.step.seconds", time.perf_counter() - t0)
-    for step in query.steps[1:]:
-        t0 = time.perf_counter() if obs else 0.0
-        cand = store.predicate_positions(step.test, step.attribute,
-                                         stats)
-        positions = _match_step(store, positions, cand,
-                                step.axis == CHILD, stats, parallel)
-        if obs:
-            METRICS.observe("query.step.seconds",
-                            time.perf_counter() - t0)
-    return store.elements_at(positions)
+    return QuerySession(store, stats).evaluate(query)
 
 
 class QuerySession:
@@ -889,15 +770,21 @@ class QuerySession:
     session exists to make observable.  Sessions are cheap — make one
     per (re-)pin; the caches die with it, the store's own memos
     survive into the next pin.
+
+    Every step runs as one serial vectorized pass; ``parallel`` must
+    be ``False``.
     """
 
     def __init__(self, store: Any, stats: Counters = NULL_COUNTERS,
                  parallel: bool = False):
+        if parallel:
+            raise ParameterError(
+                "QuerySession(parallel=True) is not supported: each "
+                "step runs as one serial vectorized pass")
         if not isinstance(store, ColumnarStore):
             store = store.columnar()
         self.store = store
         self.stats = stats
-        self.parallel = parallel
         #: session memo traffic — hits are steps served from the cache,
         #: misses computed ones; :meth:`memo_hit_ratio` is the headline
         self.step_hits = 0
@@ -934,10 +821,8 @@ class QuerySession:
                 cand = store.predicate_positions(
                     step.test, step.attribute, stats)
                 positions = _match_step(
-                    store, positions, cand, step.axis == CHILD, stats,
-                    self.parallel,
-                    prepared=self._prepare(positions,
-                                           step.axis == CHILD))
+                    store, cand, step.axis == CHILD, stats,
+                    self._prepare(positions, step.axis == CHILD))
             if obs:
                 METRICS.observe("query.step.seconds",
                                 time.perf_counter() - t0)
@@ -971,8 +856,8 @@ class QuerySession:
 
 
 def evaluate_batch(store: Any, queries: Sequence[XPathQuery],
-                   stats: Counters = NULL_COUNTERS,
-                   parallel: bool = False) -> list[list[XMLElement]]:
+                   stats: Counters = NULL_COUNTERS
+                   ) -> list[list[XMLElement]]:
     """One-shot :class:`QuerySession` over ``queries`` (result order
     matches input order; each result list is in document order)."""
-    return QuerySession(store, stats, parallel).evaluate_batch(queries)
+    return QuerySession(store, stats).evaluate_batch(queries)

@@ -60,8 +60,6 @@ class TestAgreement:
                 query = parse_xpath(text)
                 truth = _ids(evaluate_dom(document, query))
                 assert _ids(evaluate_columnar(store, query)) == truth, text
-                assert _ids(evaluate_columnar(
-                    store, query, parallel=True)) == truth, text
 
 
 class TestBackends:
@@ -84,22 +82,14 @@ class TestBackends:
 
 
 class TestShardedInputs:
-    def test_sharded_scheme_produces_shard_slices(self):
+    def test_sharded_scheme_matches_dom(self):
         document = xmark_like(40, 20, 14, seed=5)
         labeled = LabeledDocument(document,
                                   scheme=make_scheme("ltree-sharded"))
         store = ColumnarStore.from_labeled(labeled)
-        # slices partition the element positions contiguously
-        assert store.shard_slices[0][0] == 0
-        assert store.shard_slices[-1][1] == len(store)
-        for (_, stop), (start, _) in zip(store.shard_slices,
-                                         store.shard_slices[1:]):
-            assert stop == start
         for query in xpath_battery(document, 12, seed=6):
             truth = _ids(evaluate_dom(document, query))
             assert _ids(evaluate_columnar(store, query)) == truth
-            assert _ids(evaluate_columnar(store, query,
-                                          parallel=True)) == truth
 
 
 class TestIntervalStorePlumbing:
@@ -171,6 +161,34 @@ class TestSnapshotPinned:
                 _ids(evaluate_dom(reopened.document, query))
         reopened.close()
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_pinned_labels_equal_the_schemes_reads(self, tmp_path,
+                                                   backend):
+        """A pin's columns hold the labels the scheme itself reads for
+        the same quiescent document: fresh, after a split and after a
+        merge."""
+        document = xmark_like(25, 12, 9, seed=19)
+        reopened = self._open_concurrent(tmp_path, document)
+        tree = reopened.scheme.tree
+
+        def assert_pin_equals_reads():
+            pinned = ColumnarStore.from_snapshot(reopened, tree.snapshot())
+            read = ColumnarStore.from_labeled(reopened)
+            assert pinned.backend == read.backend == backend
+            assert _ids(pinned.elements) == _ids(read.elements)
+            assert list(pinned._begin) == list(read._begin)
+            assert list(pinned._end) == list(read._end)
+            assert list(pinned._level) == list(read._level)
+
+        with vectorized.use_backend(backend):
+            assert_pin_equals_reads()
+            fat = max(tree.shard_report(), key=lambda row: row["live"])
+            left, right = tree.split_shard(fat["id"], fat["live"] // 2)
+            assert_pin_equals_reads()
+            assert tree.merge_shards(left, right) is not None
+            assert_pin_equals_reads()
+        reopened.close()
+
     def test_pinned_store_immune_to_engine_writes(self, tmp_path):
         """Engine-level writes after the pin never change results."""
         document = xmark_like(25, 12, 9, seed=9)
@@ -185,8 +203,7 @@ class TestSnapshotPinned:
         for step, anchor in enumerate(anchors[: len(anchors) // 2]):
             tree.insert_after(anchor, ("noise", step))
         for query, truth in zip(queries, expected):
-            assert _ids(evaluate_columnar(store, query,
-                                          parallel=True)) == truth
+            assert _ids(evaluate_columnar(store, query)) == truth
         reopened.close()
 
     def test_pinned_store_immune_to_rebalance(self, tmp_path):
@@ -229,8 +246,7 @@ class TestSnapshotPinned:
         tree.merge_shards(pair[0], pair[1])
         # after the rebalance: pinned store still identical ...
         for query, truth in zip(queries, expected):
-            assert _ids(evaluate_columnar(store, query,
-                                          parallel=True)) == truth
+            assert _ids(evaluate_columnar(store, query)) == truth
         # ... and a freshly pinned store on the new epoch also agrees
         fresh = ColumnarStore.from_snapshot(reopened, tree.snapshot())
         for query, truth in zip(queries, expected):
@@ -267,8 +283,7 @@ class TestSnapshotPinned:
         try:
             for _ in range(4):
                 for query, truth in zip(queries, expected):
-                    assert _ids(evaluate_columnar(
-                        store, query, parallel=True)) == truth
+                    assert _ids(evaluate_columnar(store, query)) == truth
         finally:
             thread.join()
         assert not errors, errors
@@ -327,8 +342,7 @@ class TestSnapshotPinned:
         try:
             for _ in range(4):
                 for query, truth in zip(queries, expected):
-                    assert _ids(evaluate_columnar(
-                        store, query, parallel=True)) == truth
+                    assert _ids(evaluate_columnar(store, query)) == truth
         finally:
             stop.set()
             for thread in threads:

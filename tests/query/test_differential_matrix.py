@@ -49,8 +49,6 @@ def test_four_evaluators_agree_across_corpus(seed, scheme_name):
             assert _ids(evaluate_edge(edge, query)) == truth, context
             assert _ids(evaluate_columnar(columnar, query)) == truth, \
                 context
-            assert _ids(evaluate_columnar(
-                columnar, query, parallel=True)) == truth, context
 
 
 @pytest.mark.parametrize("seed", [7, 19])
@@ -89,8 +87,8 @@ def test_snapshot_columnar_under_writers_matches_pre_pin(tmp_path, seed):
     try:
         for _ in range(4):
             for query, truth in zip(queries, expected):
-                assert _ids(evaluate_columnar(
-                    store, query, parallel=True)) == truth, str(query)
+                assert _ids(evaluate_columnar(store, query)) == truth, \
+                    str(query)
     finally:
         stop.set()
         for thread in threads:

@@ -1,16 +1,18 @@
 """Incremental re-pins, predicate pushdown, and query sessions.
 
 The contract under test: ``from_snapshot(..., previous=store)`` must be
-*indistinguishable* from a full rebuild — byte-identical columns and
-slices across backends, engine writes, and rebalance epochs — while the
+*indistinguishable* from a full rebuild — byte-identical columns
+across backends, engine writes, and rebalance epochs — while the
 counters prove it did less work; pushdown and session caching must be
 pure plan changes (same results, fewer probes).
 """
 
 import pytest
 
+from repro import obs
 from repro.core import vectorized
 from repro.core.stats import Counters
+from repro.errors import ParameterError
 from repro.labeling.scheme import LabeledDocument
 from repro.order.registry import make_scheme
 from repro.query.columnar import (ColumnarStore, QuerySession,
@@ -40,7 +42,6 @@ def _assert_identical(spliced, rebuilt):
     assert list(spliced._begin) == list(rebuilt._begin)
     assert list(spliced._end) == list(rebuilt._end)
     assert list(spliced._level) == list(rebuilt._level)
-    assert spliced.shard_slices == rebuilt.shard_slices
     assert spliced.pinned_epoch == rebuilt.pinned_epoch
 
 
@@ -151,8 +152,7 @@ class TestIncrementalRepin:
             _assert_identical(
                 again, ColumnarStore.from_snapshot(reopened, snapshot))
             for query in xpath_battery(reopened.document, 8, seed=26):
-                assert _ids(evaluate_columnar(again, query,
-                                              parallel=True)) == \
+                assert _ids(evaluate_columnar(again, query)) == \
                     _ids(evaluate_dom(reopened.document, query))
         reopened.close()
 
@@ -288,6 +288,60 @@ class TestIncrementalRepin:
                     _ids(evaluate_dom(reopened.document, query))
         reopened.close()
 
+    @pytest.mark.parametrize("edit", ["insert", "delete", "move"])
+    def test_dom_edit_forces_rebuild(self, tmp_path, backend, edit):
+        """A subtree insert, delete or move through the document moves
+        element positions: the re-pin must rebuild, not splice fresh
+        labels into the pre-edit element list."""
+        document = xmark_like(16, 8, 6, seed=41)
+        reopened = _open_concurrent(tmp_path, document)
+        tree = reopened.scheme.tree
+        query = parse_xpath("//item/name")
+        with vectorized.use_backend(backend):
+            store = ColumnarStore.from_snapshot(reopened, tree.snapshot())
+            items = list(reopened.document.find_all("item"))
+            if edit == "insert":
+                reopened.insert_subtree(
+                    items[3].parent, 0,
+                    parse("<item><name>new</name></item>").root)
+            elif edit == "delete":
+                reopened.delete_subtree(items[3])
+            else:
+                target = items[-1].parent
+                reopened.move_subtree(items[0], target,
+                                      len(target.children))
+            snapshot = tree.snapshot()
+            stats = Counters()
+            repinned = store.repin(reopened, snapshot, stats)
+            rebuilt = ColumnarStore.from_snapshot(reopened, snapshot)
+            assert _ids(evaluate_columnar(repinned, query)) == \
+                _ids(evaluate_dom(reopened.document, query))
+            assert _ids(repinned.elements) == _ids(rebuilt.elements)
+            _assert_identical(repinned, rebuilt)
+            assert stats.segments_spliced == 0
+        reopened.close()
+
+    def test_repin_against_another_document_rebuilds(self, tmp_path,
+                                                     backend):
+        """A store pinned from one document re-pinned against another
+        (here: a second copy at the same epoch) holds the second
+        document's elements."""
+        document = xmark_like(10, 5, 4, seed=43)
+        (tmp_path / "first").mkdir()
+        (tmp_path / "second").mkdir()
+        first = _open_concurrent(tmp_path / "first", document)
+        second = _open_concurrent(tmp_path / "second", document)
+        with vectorized.use_backend(backend):
+            store = ColumnarStore.from_snapshot(
+                first, first.scheme.tree.snapshot())
+            snapshot = second.scheme.tree.snapshot()
+            repinned = store.repin(second, snapshot)
+            assert repinned.elements[0] is second.document.root
+            _assert_identical(
+                repinned, ColumnarStore.from_snapshot(second, snapshot))
+        first.close()
+        second.close()
+
     def test_repin_method_is_from_snapshot_sugar(self, tmp_path, backend):
         document = xmark_like(15, 8, 6, seed=29)
         reopened = _open_concurrent(tmp_path, document)
@@ -300,6 +354,32 @@ class TestIncrementalRepin:
                 store.repin(reopened, snapshot),
                 ColumnarStore.from_snapshot(reopened, snapshot))
         reopened.close()
+
+
+def test_pin_and_repin_record_one_span_and_metric_each(tmp_path):
+    reopened = _open_concurrent(tmp_path, xmark_like(10, 5, 4, seed=45))
+    tree = reopened.scheme.tree
+    obs.reset()
+    obs.enable()
+    try:
+        store = ColumnarStore.from_snapshot(reopened, tree.snapshot())
+        again = store.repin(reopened, tree.snapshot())
+        counters = obs.METRICS.counters()
+        pin_seconds = obs.METRICS.histogram("query.pin.seconds")
+        spans = [event for event in obs.TRACER.events()
+                 if event["type"] == "span" and
+                 event["name"].startswith("query.")]
+    finally:
+        obs.disable()
+        obs.reset()
+    assert again is store
+    assert counters["query.pins"] == 1
+    assert counters["query.repins"] == 1
+    assert pin_seconds["count"] == 1
+    assert [(span["name"], span["attrs"]) for span in spans] == [
+        ("query.pin", {"elements": len(store), "unchanged": False}),
+        ("query.repin", {"elements": len(store), "unchanged": True})]
+    reopened.close()
 
 
 class TestBackendFlipFallback:
@@ -434,6 +514,33 @@ class TestQuerySession:
         second = session.evaluate(parse_xpath("//item/name"))
         assert _ids(first) == _ids(second)
         assert stats.comparisons == cost_once.comparisons
+
+    def test_parallel_fan_out_is_rejected(self):
+        store = ColumnarStore.from_labeled(
+            LabeledDocument(parse("<a><b/><b/></a>")))
+        with pytest.raises(ParameterError):
+            QuerySession(store, parallel=True)
+        session = QuerySession(store, Counters(), parallel=False)
+        assert len(session.evaluate(parse_xpath("//b"))) == 2
+
+    def test_evaluate_columnar_is_a_one_query_session(self):
+        """Its steps go through the session loop: each one is a memo
+        miss and one ``query.step.seconds`` sample."""
+        store = ColumnarStore.from_labeled(
+            LabeledDocument(xmark_like(10, 5, 4, seed=39)))
+        obs.reset()
+        obs.enable(trace=False)
+        try:
+            evaluate_columnar(store,
+                              parse_xpath("//open_auction/bidder/increase"))
+            counters = obs.METRICS.counters()
+            steps = obs.METRICS.histogram("query.step.seconds")
+        finally:
+            obs.disable()
+            obs.reset()
+        assert counters["query.session.step_misses"] == 3
+        assert counters.get("query.session.step_hits", 0) == 0
+        assert steps["count"] == 3
 
     def test_session_over_interval_store(self):
         from repro.storage.interval_table import IntervalTableStore
