@@ -11,7 +11,10 @@ must not lose to the page-by-page buffer-pool read.
 The ordering itself is held by rows of the gate table in
 ``benchmarks/compare_baselines.py``, over ``run_all.py``'s ``bulk_load``
 suite; the ``benchmark`` fixtures here record the magnitudes of each
-path on its own.
+path on its own.  ``test_document_save`` and ``test_document_open``
+time a whole ``LabeledDocument`` on ``ltree-sharded``: its token
+columns written in one DOM walk, and a concurrent reopen that rebuilds
+the DOM in one pass over them.
 """
 
 import pytest
@@ -19,7 +22,11 @@ import pytest
 from repro.core.compact import CompactLTree
 from repro.core.params import LTreeParams
 from repro.core.persistence import restore_compact, snapshot
+from repro.labeling.scheme import LabeledDocument
+from repro.order import make_scheme
 from repro.storage.pages import PageStore
+from repro.xml.generator import xmark_like
+from repro.xml.serializer import serialize
 
 PARAMS = LTreeParams(f=16, s=4)
 N_LEAVES = 50_000
@@ -90,3 +97,49 @@ def test_restore_label_decode(benchmark, loaded_tree):
     tree = benchmark.pedantic(restore_compact, args=(data,), rounds=3,
                               iterations=1)
     assert tree.n_leaves == N_LEAVES
+
+
+@pytest.fixture(scope="module")
+def labeled_document():
+    document = xmark_like(n_items=500, n_people=250, n_auctions=170,
+                          seed=47)
+    return LabeledDocument(document, scheme=make_scheme("ltree-sharded"))
+
+
+@pytest.fixture(scope="module")
+def document_path(labeled_document, tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("document") / "doc.ltp")
+    labeled_document.save(path)
+    return path
+
+
+def test_document_save(benchmark, labeled_document, tmp_path):
+    """One save: the token columns, the shard images and ``meta``
+    under one catalog flip; no XML is rendered."""
+    path = str(tmp_path / "doc.ltp")
+    benchmark.pedantic(labeled_document.save, args=(path,), rounds=3,
+                       iterations=1)
+    with PageStore(path) as store:
+        assert store.has_blob("document.columns")
+        assert not store.has_blob("document.xml")
+
+
+def test_document_open(benchmark, labeled_document, document_path):
+    """One ``open(concurrent=True)``: columns decoded, the DOM rebuilt
+    on the scheme's live handles, no shard materialized."""
+    opened = []
+
+    def run():
+        opened.append(LabeledDocument.open(document_path, concurrent=True))
+        return opened[-1]
+
+    reopened = benchmark.pedantic(run, rounds=3, iterations=1)
+    try:
+        assert reopened.scheme.tree.materialized_shards == []
+        assert reopened.labels_in_order() == \
+            labeled_document.labels_in_order()
+        assert serialize(reopened.document) == \
+            serialize(labeled_document.document)
+    finally:
+        for document in opened:
+            document.close()

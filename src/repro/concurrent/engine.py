@@ -761,11 +761,12 @@ class ConcurrentLTree:
 
     def save(self, store: Any, name: str = "scheme",
              include_payloads: bool = True,
-             extra_blobs: Optional[dict[str, bytes]] = None) -> None:
+             extra_blobs: Optional[dict[str, bytes]] = None,
+             delete: Sequence[str] = ()) -> None:
         with self._locked():
             self._engine.save(store, name,
                               include_payloads=include_payloads,
-                              extra_blobs=extra_blobs)
+                              extra_blobs=extra_blobs, delete=delete)
 
     @classmethod
     def load(cls, store: Any, name: str = "scheme",

@@ -1220,7 +1220,8 @@ class CompactLTree:
         on.  Payloads ride along as JSON (tuples come back as lists;
         non-JSON-able payloads raise :class:`ParameterError`); pass
         ``include_payloads=False`` when payloads are reattached from an
-        external source, e.g. a re-parsed XML document.
+        external source, e.g. a document rebuilt from its stored token
+        columns.
         """
         n_slots = len(self._num)
         flags = 0

@@ -68,7 +68,7 @@ def snapshot(tree: AnyLTree, include_payloads: bool = True
     offending entry.  Pass ``include_payloads=False`` (payloads stored as
     ``None``) when payloads live elsewhere — e.g. a
     :class:`repro.labeling.scheme.LabeledDocument` re-derives them from
-    the document text on reopen.
+    its stored token columns on reopen.
     """
     entries = []
     if isinstance(tree, CompactLTree):

@@ -861,6 +861,28 @@ class ShardedCompactLTree:
         else:
             shard.tree.set_payload(slot, payload)
 
+    def set_live_payloads(self, payloads: Sequence[Any]) -> None:
+        """Reattach one payload per live leaf, in document order.
+
+        The bulk :meth:`set_payload` of a reopen: each shard takes its
+        run of ``payloads`` in one call — a lazy shard's pending buffer
+        in one update, so nothing materializes.
+        """
+        shards = self._shards
+        lives = [shard.live_slots() for shard in shards]
+        if sum(map(len, lives)) != len(payloads):
+            raise ValueError(f"{len(payloads)} payloads for "
+                             f"{sum(map(len, lives))} live leaves")
+        start = 0
+        for shard, live in zip(shards, lives):
+            run = payloads[start:start + len(live)]
+            start += len(live)
+            if shard.is_lazy:
+                shard.pending.update(zip(live, run))
+            else:
+                for slot, payload in zip(live, run):
+                    shard.tree.set_payload(slot, payload)
+
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
@@ -1269,7 +1291,7 @@ class ShardedCompactLTree:
     def save(self, store: Any, name: str = "scheme",
              include_payloads: bool = True,
              extra_blobs: Optional[dict[str, bytes]] = None,
-             reclaim: bool = True) -> None:
+             reclaim: bool = True, delete: Sequence[str] = ()) -> None:
         """Persist every arena as its own blob span plus a manifest.
 
         Blob layout under ``name``: ``{name}.s{id}`` holds shard
@@ -1309,7 +1331,9 @@ class ShardedCompactLTree:
         stores its WAL watermark this way, so "engine state saved" and
         "checkpoint sequence recorded" can never be observed apart); on
         a plain ``put_blob`` store they are written just before the
-        manifest.
+        manifest.  Cataloged blobs named in ``delete`` are dropped with
+        the stale ones (a document format upgrade drops its old text
+        blob this way).
         """
         d = self._dir
         entries = []
@@ -1385,7 +1409,7 @@ class ShardedCompactLTree:
                 re.escape(name) + r"\.(s[0-9]+(\.leaves)?|forwarding)")
             stale = [blob_name for blob_name in store.blobs()
                      if blob_name not in puts and
-                     owned.fullmatch(blob_name)]
+                     (owned.fullmatch(blob_name) or blob_name in delete)]
         if extra_blobs:
             overlap = set(extra_blobs) & (set(puts) | {name})
             if overlap:

@@ -16,20 +16,30 @@ and deletions:
 * every predicate (:meth:`is_ancestor`, :meth:`precedes`, ...) consults
   labels only, never the tree structure.
 
-**Engine default (since PR 3).**  The default scheme is
-``ltree-compact`` (:data:`repro.order.registry.DEFAULT_SCHEME`): the
-struct-of-arrays engine proven label- and counter-identical to the
-node-object reference by ``tests/core/test_compact_differential.py``.
-Its bulk paths are vectorized through :mod:`repro.core.vectorized` —
-numpy when importable, pure-Python batch passes otherwise.  To opt back
-into the node-object engine pass ``scheme=make_scheme("ltree")`` or an
-explicit :class:`~repro.order.ltree_list.LTreeListLabeling`.
+**Engine default.**  The default scheme is ``ltree-compact``
+(:data:`repro.order.registry.DEFAULT_SCHEME`): the struct-of-arrays
+engine proven label- and counter-identical to the node-object reference
+by ``tests/core/test_compact_differential.py``.  Its bulk paths are
+vectorized through :mod:`repro.core.vectorized` — numpy when
+importable, pure-Python batch passes otherwise.  To opt back into the
+node-object engine pass ``scheme=make_scheme("ltree")`` or an explicit
+:class:`~repro.order.ltree_list.LTreeListLabeling`.
 
 **Label reads.**  Every begin/end label read is one ``scheme.label``
 call, O(1) on every L-Tree engine, counted in
 ``Counters.label_lookups``.  Bulk consumers that want every label at
 once pair :meth:`LabeledDocument.element_handles` with a pinned
 snapshot's label columns.
+
+**Persistence.**  :meth:`LabeledDocument.save` stores the token list
+itself as columns in list order (:mod:`repro.labeling.codec`) next to
+the scheme's label state, and :meth:`LabeledDocument.open` rebuilds
+the DOM in one pass over those columns zipped with the restored
+scheme's handles: no XML is rendered on save or parsed on open (but
+for a format-1 store, whose XML text is parsed once into the same
+columns).  XML text is an export
+(:func:`repro.xml.serializer.serialize`), and a save refuses every
+document that export would not carry.
 """
 
 from __future__ import annotations
@@ -42,6 +52,8 @@ from repro.core.params import LTreeParams
 from repro.core.persistence import restore, snapshot
 from repro.core.stats import NULL_COUNTERS, Counters
 from repro.errors import ParameterError
+from repro.labeling import codec
+from repro.labeling.codec import BEGIN, END, POINT, Handles
 from repro.labeling.containment import Region
 from repro.order.base import OrderedLabeling
 from repro.order.compact_list import (CompactEngineLabeling,
@@ -50,33 +62,17 @@ from repro.order.compact_list import (CompactEngineLabeling,
 from repro.order.ltree_list import LTreeListLabeling
 from repro.order.registry import default_scheme
 from repro.order.sharded_list import ShardedListLabeling
-from repro.xml.model import (XMLCommentNode, XMLDocument, XMLElement,
-                             XMLInstructionNode, XMLNode, XMLTextNode)
-from repro.xml.parser import parse
-from repro.xml.serializer import serialize
+from repro.xml.model import XMLDocument, XMLElement, XMLNode, XMLTextNode
 
-#: token-kind markers used in scheme payloads
-BEGIN = "begin"
-END = "end"
-POINT = "point"  # text / comment / PI: a single list position
-
-#: on-store format version of a saved LabeledDocument (see ``save``)
-DOCUMENT_FORMAT_VERSION = 1
+#: on-store format version of a saved LabeledDocument (see ``save``);
+#: ``open`` also reads format 1, which stored the document as XML text
+DOCUMENT_FORMAT_VERSION = 2
 
 #: blob names a saved document occupies inside a page store
 META_BLOB = "meta"
-XML_BLOB = "document.xml"
+COLUMNS_BLOB = "document.columns"
+XML_BLOB = "document.xml"       # format 1 only
 SCHEME_BLOB = "scheme"
-
-
-class _Handles:
-    """Scheme handles attached to a node via ``node.extra``."""
-
-    __slots__ = ("begin", "end")
-
-    def __init__(self, begin: Any, end: Any = None):
-        self.begin = begin
-        self.end = end
 
 
 def _emit_tokens(node: XMLNode) -> Iterator[tuple[str, XMLNode]]:
@@ -202,19 +198,19 @@ class LabeledDocument:
                 handles: list[Any]) -> None:
         for (kind, node), handle in zip(pairs, handles):
             if kind == BEGIN:
-                node.extra = _Handles(handle)
+                node.extra = Handles(handle)
             elif kind == END:
-                assert isinstance(node.extra, _Handles)
+                assert isinstance(node.extra, Handles)
                 node.extra.end = handle
             else:
-                node.extra = _Handles(handle)
+                node.extra = Handles(handle)
 
     # ------------------------------------------------------------------
     # label access
     # ------------------------------------------------------------------
-    def _handles(self, node: XMLNode) -> _Handles:
+    def _handles(self, node: XMLNode) -> Handles:
         handles = node.extra
-        if not isinstance(handles, _Handles):
+        if not isinstance(handles, Handles):
             raise ValueError(f"{node!r} is not labeled by this document")
         return handles
 
@@ -392,7 +388,7 @@ class LabeledDocument:
     # ------------------------------------------------------------------
     def save(self, store: Any = None,
              sync: Optional[bool] = None) -> None:
-        """Persist document text and labels to a page store.
+        """Persist the document and its labels to a page store.
 
         ``store`` is a :class:`repro.storage.pages.PageStore`, a file
         *path* (a store is opened — and closed — around the save), or
@@ -406,17 +402,22 @@ class LabeledDocument:
         Three blobs land in the store under one catalog flip that
         never overwrites the previous save's pages, so a crash at any
         point of a save leaves the previous document reopenable: the
-        serialized XML, the scheme state, and a small JSON ``meta``
-        record.  The scheme goes
-        as the struct-of-arrays byte image for ``ltree-compact``
-        (tombstones and free-list preserved exactly), as one such image
-        *per shard* plus a manifest for ``ltree-sharded`` (reopened
-        shard-lazily), or as the §4.2 label-only snapshot for ``ltree``;
-        either way payloads are *not* serialized — :meth:`open`
-        re-derives them from the document text, whose token sequence
-        matches the live labels one-to-one.
-        Raises :class:`ParameterError` (before writing anything) when
-        that one-to-one match would not survive the XML round trip.
+        document as token columns (:mod:`repro.labeling.codec`, built
+        in one walk of the DOM), the scheme state, and a small JSON
+        ``meta`` record.  The scheme goes as the struct-of-arrays byte
+        image for ``ltree-compact`` (tombstones and free-list preserved
+        exactly), as one such image *per shard* plus a manifest for
+        ``ltree-sharded`` (reopened shard-lazily), or as the §4.2
+        label-only snapshot for ``ltree``; either way payloads are
+        *not* serialized — :meth:`open` re-derives them from the
+        columns, whose tokens match the live labels one-to-one.  The
+        same flip drops the XML text a format-1 save left behind.
+
+        No XML is rendered or parsed: the codec's export rule refuses,
+        on the columns, every document whose XML export
+        (:func:`repro.xml.serializer.serialize`) would not re-parse to
+        the same document, raising :class:`ParameterError` before
+        anything is written.
         """
         target = store if store is not None else self.store
         if target is None:
@@ -433,21 +434,7 @@ class LabeledDocument:
 
     def _save_to(self, store: Any) -> None:
         scheme = self.scheme
-        text = serialize(self.document)
-        # fail *now* if the token stream cannot survive the XML round
-        # trip (adjacent text nodes merge, empty text nodes vanish) —
-        # otherwise save would succeed and open() would fail forever
-        live_kinds = [kind for kind, _ in
-                      _emit_tokens(self.document.root)]
-        reparsed_kinds = [kind for kind, _ in
-                          _emit_tokens(parse(text).root)]
-        if live_kinds != reparsed_kinds:
-            raise ParameterError(
-                f"document token stream does not survive an XML round "
-                f"trip ({len(live_kinds)} tokens serialize to "
-                f"{len(reparsed_kinds)}): adjacent or empty text nodes "
-                f"cannot be re-labeled on open(); merge them first")
-        blobs = {XML_BLOB: text.encode("utf-8")}
+        blobs = {COLUMNS_BLOB: codec.encode(self.document)}
         if isinstance(scheme, ShardedListLabeling):
             encoding = "sharded-bytes"
         elif isinstance(scheme, CompactListLabeling):
@@ -475,9 +462,9 @@ class LabeledDocument:
             # engine's own batch; shards still lazy from an earlier
             # open() are copied image-for-image without deserializing
             scheme.tree.save(store, SCHEME_BLOB, include_payloads=False,
-                             extra_blobs=blobs)
+                             extra_blobs=blobs, delete=(XML_BLOB,))
         else:
-            store.put_blobs(blobs, reclaim=True)
+            store.put_blobs(blobs, delete=(XML_BLOB,), reclaim=True)
 
     @classmethod
     def open(cls, store: Any, stats: Counters = NULL_COUNTERS,
@@ -485,28 +472,40 @@ class LabeledDocument:
              concurrent: bool = False) -> "LabeledDocument":
         """Reopen a document saved by :meth:`save` — without relabeling.
 
-        The XML text is re-parsed and its token stream zipped against the
-        restored scheme's live handles (same order by construction), so
-        every node gets back the *exact* label it held at save time;
-        nothing is re-bulk-loaded and future edits behave as if the
-        process had never stopped.
+        One pass over the stored kind column, zipped with the restored
+        scheme's live handles (same order by construction), builds each
+        DOM node, gives it back the *exact* label it held at save time
+        and hands its handle the ``(kind, node)`` payload; nothing is
+        re-bulk-loaded or parsed, and future edits behave as if the
+        process had never stopped.  A format-1 store (XML text, written
+        before the token columns) is parsed once into the same columns
+        and opens through the same pass; the next :meth:`save` writes
+        format 2.
 
-        What a reopen costs: one parse of the stored XML
-        (:func:`repro.xml.parser.parse`), the scheme load (shard-lazy
-        for ``ltree-sharded``: only the manifest is decoded, and each
-        shard's live leaves are derived from its image's columns, one
-        sort per shard), and one pass that attaches each token to its
-        restored handle and the handle's payload back to the token; no
-        label is computed.  The parse is the largest part: on the
-        2.3 MB, ~69k-element ``query_serving`` benchmark document it is
-        about half of an ``open(concurrent=True)``, the attach pass
-        most of the rest, and the scheme load a few percent.
+        What a reopen costs, on the 68,938-element, 178,296-token
+        ``query_serving`` benchmark document (``open(concurrent=True)``
+        on a 2-vCPU VM, CPython 3.11, collector off): decoding and
+        checking the 1.6 MB column blob ~0.03 s; the scheme load
+        (shard-lazy for ``ltree-sharded``: only the manifest is
+        decoded, and each shard's live leaves are derived from its
+        image's columns, one sort per shard) and ``handles()`` ~0.03 s;
+        the rebuild pass 0.14-0.18 s; one payload update per shard
+        ~0.02 s.  No label is computed.  With the collector on, in a
+        heap that already holds a labeled copy of the document, the
+        collector takes about two thirds of the reopen (0.51-0.56 s of
+        0.78-0.88 s): every token allocates tracked objects the API
+        keeps (a node, a :class:`~repro.labeling.codec.Handles`, a
+        payload tuple, and an element's child list), and each time the
+        heap grows by a quarter a full collection walks every live
+        object.
 
         ``store`` may be a file *path*: the document then owns the
         opened :class:`~repro.storage.pages.PageStore` (kept on
         :attr:`store`, so a bare ``save()`` re-saves in place and
         :meth:`close` releases it), created with the ``sync``
-        discipline asked for.
+        discipline asked for.  A store that holds no saved document, a
+        damaged ``meta`` record and a column blob that is truncated or
+        inconsistent raise :class:`ParameterError`.
 
         ``concurrent=True`` (documents saved with the ``ltree-sharded``
         scheme only) wraps the restored engine in
@@ -525,12 +524,16 @@ class LabeledDocument:
             from repro.storage.pages import PageStore
             store = PageStore(os.fspath(store), sync=bool(sync))
         try:
-            meta = json.loads(bytes(store.get_blob(META_BLOB)).decode("utf-8"))
-            if meta.get("format") != DOCUMENT_FORMAT_VERSION:
+            meta = _read_meta(store)
+            version = meta.get("format")
+            if version == DOCUMENT_FORMAT_VERSION:
+                columns = codec.decode(store.get_blob(COLUMNS_BLOB))
+            elif version == 1:
+                columns = codec.decode_xml(store.get_blob(XML_BLOB))
+            else:
                 raise ParameterError(
-                    f"unsupported document format {meta.get('format')!r} "
-                    f"(supported: {DOCUMENT_FORMAT_VERSION})")
-            document = parse(bytes(store.get_blob(XML_BLOB)).decode("utf-8"))
+                    f"unsupported document format {version!r} "
+                    f"(supported: 1, {DOCUMENT_FORMAT_VERSION})")
             encoding = meta.get("encoding")
             if encoding == "compact-bytes":
                 scheme: OrderedLabeling = CompactListLabeling.load(
@@ -540,11 +543,8 @@ class LabeledDocument:
                 # shard-lazy: only the manifest is decoded here, and the
                 # handles below come off each image's columns; an arena
                 # is deserialized the first time an edit touches it
-                # (payload reattachment below is buffered on still-lazy
-                # shards)
                 scheme = ShardedListLabeling.load(store, SCHEME_BLOB,
                                                   stats=stats)
-                reattach = scheme.tree.set_payload
             elif encoding == "label-snapshot":
                 data = json.loads(
                     bytes(store.get_blob(SCHEME_BLOB)).decode("utf-8"))
@@ -560,6 +560,13 @@ class LabeledDocument:
                 raise ParameterError(
                     f"concurrent=True needs a document saved with the "
                     f"ltree-sharded scheme, this one used {encoding!r}")
+            handles = list(scheme.handles())
+            document, payloads = codec.build(columns, handles)
+            if encoding == "sharded-bytes":
+                scheme.tree.set_live_payloads(payloads)
+            else:
+                for handle, payload in zip(handles, payloads):
+                    reattach(handle, payload)
             labeled = cls.__new__(cls)
             labeled.document = document
             labeled.scheme = scheme
@@ -567,15 +574,6 @@ class LabeledDocument:
             labeled.store = store if owns_store else None
             labeled._owns_store = owns_store
             labeled.structural_edits = 0
-            pairs = list(_emit_tokens(document.root))
-            handles = list(scheme.handles())
-            if len(pairs) != len(handles):
-                raise ParameterError(
-                    f"document has {len(pairs)} tokens but the restored "
-                    f"scheme holds {len(handles)} live labels")
-            labeled._attach(pairs, handles)
-            for pair, handle in zip(pairs, handles):
-                reattach(handle, pair)
             if concurrent:
                 from repro.concurrent.engine import ConcurrentLTree
                 scheme.tree = ConcurrentLTree(scheme.tree)
@@ -629,3 +627,23 @@ class LabeledDocument:
                         raise AssertionError(
                             f"containment broken: {element.tag} !> "
                             f"{child.tag}")
+
+
+def _read_meta(store: Any) -> dict:
+    """The ``meta`` record of a saved document; :class:`ParameterError`
+    names the store when it holds none or a damaged one."""
+    where = getattr(store, "path", None) or repr(store)
+    try:
+        raw = store.get_blob(META_BLOB)
+    except KeyError:
+        raise ParameterError(
+            f"{where} holds no saved document (no {META_BLOB!r} blob)") \
+            from None
+    try:
+        meta = json.loads(bytes(raw))
+    except ValueError:
+        meta = None
+    if not isinstance(meta, dict):
+        raise ParameterError(
+            f"the {META_BLOB!r} blob of {where} is not a JSON object")
+    return meta

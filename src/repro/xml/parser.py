@@ -79,6 +79,11 @@ def _bad_start(name: str) -> bool:
     return name >= "\x80" and not name[0].isalpha()
 
 
+def is_name(text: str) -> bool:
+    """Whether the tokenizer reads ``text`` back as exactly one name."""
+    return _NAME_AT.fullmatch(text) is not None and not _bad_start(text)
+
+
 def _error(text: str, position: int, message: str) -> XMLSyntaxError:
     """``message`` at ``position`` of ``text``, with its 1-based line
     and column."""
