@@ -9,7 +9,8 @@ Four acts, each printing what the durability machinery actually did:
    guarantee at its smallest;
 2. **a hostile disk** — a ``FaultyStore`` whose fsync lies (reports
    success, keeps nothing) loses power; the acknowledged overwrite
-   vanishes but the ``reclaim=True`` path reopens on the old bytes;
+   vanishes, but the copy-on-write put never touched the old span, so
+   the store reopens on the old bytes;
 3. **the crash storm** — enumerate the *entire* declared failpoint
    surface, crash at every point under a seeded workload, and verify
    recovery against a serial oracle;
@@ -60,7 +61,7 @@ def act_lying_disk(root: str) -> None:
         store.put_blob("doc", b"version-1" * 10)
     with FaultyStore(path, FaultPolicy(lying_fsync=True),
                      sync=True) as hostile:
-        hostile.store.put_blobs({"doc": b"version-2" * 10}, reclaim=True)
+        hostile.store.put_blob("doc", b"version-2" * 10)
         print(f"  overwrote 'doc' (disk acknowledged "
               f"{hostile.file.fsyncs} fsyncs, kept none)")
         lost = hostile.file.power_loss()
@@ -69,7 +70,7 @@ def act_lying_disk(root: str) -> None:
     with PageStore(path) as back:
         data = bytes(back.get_blob("doc", verify=True))
         print(f"  reopened: 'doc' is {data[:9].decode()}... — the "
-              f"reclaiming flip never touched the old span")
+              f"copy-on-write put never touched the old span")
         assert data == b"version-1" * 10
 
 

@@ -1278,8 +1278,8 @@ class ShardedCompactLTree:
             image = shard.image
             if not isinstance(image, bytes):
                 # a memoryview into the store's mmap aliases the file:
-                # a later save/checkpoint rewriting the span in place
-                # would mutate (or tear) the "immutable" pin under a
+                # once a save frees the span, a later save may reuse
+                # its pages and mutate the "immutable" pin under a
                 # zero-lock reader.  The pin must own its bytes.
                 image = bytes(image)
             return image, shard.live, meta
@@ -1291,7 +1291,7 @@ class ShardedCompactLTree:
     def save(self, store: Any, name: str = "scheme",
              include_payloads: bool = True,
              extra_blobs: Optional[dict[str, bytes]] = None,
-             reclaim: bool = True, delete: Sequence[str] = ()) -> None:
+             delete: Sequence[str] = ()) -> None:
         """Persist every arena as its own blob span plus a manifest.
 
         Blob layout under ``name``: ``{name}.s{id}`` holds shard
@@ -1302,19 +1302,15 @@ class ShardedCompactLTree:
         so a reopen resolves old-epoch handles exactly as this tree
         would.  Nothing is walked: live leaves are not stored at all
         (a reopen derives them from each image's columns), and each
-        forwarding entry's rank column is written as it is held.  On a
-        store with batched puts (:meth:`PageStore.put_blobs`) the whole
-        save — arenas, forwarding, manifest, stale-blob cleanup — lands
-        under one atomic catalog flip; with ``reclaim`` (the default)
-        the flip also reclaims superseded spans and never overwrites a
-        page the *previous* catalog references, so a crash at any byte
-        of the save — including mid-rebalance — reopens bit-identically
-        on the old epoch.  On a plain ``put_blob`` store the manifest is
-        written last, so a reader never sees it pointing at *missing*
-        blobs; there the in-place span rewrite window remains, which is
-        why the manifest carries a CRC32 of every image and of the
-        forwarding blob and :meth:`load` fails loudly on a mismatch
-        instead of deserializing torn bytes.
+        forwarding entry's rank column is written as it is held.  The
+        whole save — arenas, forwarding, manifest, stale-blob cleanup —
+        lands under one :meth:`PageStore.put_blobs` catalog flip, which
+        never overwrites a page the *previous* catalog references, so a
+        crash at any byte of the save — including mid-rebalance —
+        reopens bit-identically on the old epoch.  The manifest carries
+        a CRC32 of every image and of the forwarding blob, and
+        :meth:`load` fails loudly on a mismatch instead of
+        deserializing damaged bytes.
 
         A still-lazy shard is copied image-for-image without
         deserializing — an open → edit-one-subtree → save cycle reads
@@ -1327,13 +1323,11 @@ class ShardedCompactLTree:
         layer's ``include_payloads=False`` saves stay fully lazy).
 
         ``extra_blobs`` ride along inside the *same* atomic catalog
-        flip on a batched store (a ``ConcurrentDocument`` checkpoint
-        stores its WAL watermark this way, so "engine state saved" and
-        "checkpoint sequence recorded" can never be observed apart); on
-        a plain ``put_blob`` store they are written just before the
-        manifest.  Cataloged blobs named in ``delete`` are dropped with
-        the stale ones (a document format upgrade drops its old text
-        blob this way).
+        flip (a ``ConcurrentDocument`` checkpoint stores its WAL
+        watermark this way, so "engine state saved" and "checkpoint
+        sequence recorded" can never be observed apart).  Cataloged
+        blobs named in ``delete`` are dropped with the stale ones (a
+        document format upgrade drops its old text blob this way).
         """
         d = self._dir
         entries = []
@@ -1401,15 +1395,13 @@ class ShardedCompactLTree:
         # shrinks the shard count), an emptied forwarding table, the
         # live-leaf sidecars of a format-1/2 store — and left cataloged
         # its span would leak past every vacuum.  The catalog is scanned
-        # rather than probed id by id: a cleanup interrupted by a crash
-        # can leave *gaps* in the stale id sequence
-        stale = []
-        if hasattr(store, "blobs") and hasattr(store, "delete_blob"):
-            owned = re.compile(
-                re.escape(name) + r"\.(s[0-9]+(\.leaves)?|forwarding)")
-            stale = [blob_name for blob_name in store.blobs()
-                     if blob_name not in puts and
-                     (owned.fullmatch(blob_name) or blob_name in delete)]
+        # rather than probed id by id: retired ids leave *gaps* in the
+        # id sequence
+        owned = re.compile(
+            re.escape(name) + r"\.(s[0-9]+(\.leaves)?|forwarding)")
+        stale = [blob_name for blob_name in store.blobs()
+                 if blob_name not in puts and
+                 (owned.fullmatch(blob_name) or blob_name in delete)]
         if extra_blobs:
             overlap = set(extra_blobs) & (set(puts) | {name})
             if overlap:
@@ -1418,24 +1410,11 @@ class ShardedCompactLTree:
                     f"names: {sorted(overlap)}")
             puts.update(extra_blobs)
         failpoint("sharded:save:pre-put", blob=name)
-        if hasattr(store, "put_blobs"):
-            # one catalog flip: arenas, forwarding, manifest and
-            # stale-blob drops become visible atomically (and under
-            # sync=True the whole save costs one fsync pair, not one
-            # per blob)
-            puts[name] = manifest_raw
-            store.put_blobs(puts, delete=stale, reclaim=reclaim)
-        else:
-            for blob_name, data in puts.items():
-                store.put_blob(blob_name, data)
-            # manifest last, so a reader never sees it pointing at
-            # blobs that were not written yet; stale blobs dropped
-            # last of all, because deleting them before the flip would
-            # open a crash window in which the old manifest still
-            # points at them and the store cannot reopen
-            store.put_blob(name, manifest_raw)
-            for blob_name in stale:
-                store.delete_blob(blob_name)
+        # one catalog flip: arenas, forwarding, manifest and stale-blob
+        # drops become visible atomically (and under sync=True the
+        # whole save costs one fsync pair, not one per blob)
+        puts[name] = manifest_raw
+        store.put_blobs(puts, delete=stale)
 
     @classmethod
     def load(cls, store: Any, name: str = "scheme",
@@ -1482,10 +1461,10 @@ class ShardedCompactLTree:
             sink = Counters() if shard_stats else stats
             image = store.get_blob(entry["blob"],
                                    prefer_mmap=prefer_mmap)
-            # LTREEARR images carry no checksum of their own, and the
-            # page store's in-place span rewrite can tear one mid-save;
-            # the manifest's CRC makes that a loud load failure instead
-            # of a quietly corrupt arena
+            # LTREEARR images carry no checksum of their own, and a
+            # disk can flip bits in one or lose its pages to a power
+            # loss; the manifest's CRC makes that a loud load failure
+            # instead of a quietly corrupt arena
             expected_crc = entry.get("checksum")
             if expected_crc is not None and \
                     zlib.crc32(image) != expected_crc:

@@ -454,9 +454,9 @@ class LabeledDocument:
             "scheme": scheme.name,
             "encoding": encoding,
         }).encode("utf-8")
-        # every blob lands under one reclaiming catalog flip, which never
-        # overwrites a page the previous catalog references: a crash at
-        # any byte of the save reopens the previously saved document
+        # every blob lands under one catalog flip, which never overwrites
+        # a page the previous catalog references: a crash at any byte of
+        # the save reopens the previously saved document
         if encoding == "sharded-bytes":
             # one LTREEARR blob span per shard plus a manifest, in the
             # engine's own batch; shards still lazy from an earlier
@@ -464,7 +464,7 @@ class LabeledDocument:
             scheme.tree.save(store, SCHEME_BLOB, include_payloads=False,
                              extra_blobs=blobs, delete=(XML_BLOB,))
         else:
-            store.put_blobs(blobs, delete=(XML_BLOB,), reclaim=True)
+            store.put_blobs(blobs, delete=(XML_BLOB,))
 
     @classmethod
     def open(cls, store: Any, stats: Counters = NULL_COUNTERS,

@@ -30,15 +30,15 @@ On top of the page layer sits a minimal named-blob interface
 (:meth:`put_blob` / :meth:`get_blob`): a blob occupies a contiguous run
 of pages, which is exactly the shape :meth:`repro.core.compact.CompactLTree.to_bytes`
 wants — the engine's int64 columns land page-aligned on disk and come
-back with one bulk copy per column.  Rewriting a blob reuses its span
-while the new bytes fit the span's allocated pages (shrinking never
-gives pages up); only growth beyond the allocation appends a fresh span
-and leaves the old pages behind until :meth:`vacuum` slides every live
-span down and truncates the file.  Data pages always land *before* the
-catalog flip, so a crash mid-``put_blob`` loses only that put; the one
-non-atomic window left is an in-place rewrite of an existing span
-(same name, same size class), which can tear the blob's *contents* —
-the catalog itself survives any crash.
+back with one bulk copy per column.  Every write is copy-on-write: a
+changed blob lands on pages the current catalog does not reference
+(first fit into the gaps between live spans, else past the last one),
+an unchanged blob keeps its span, and one catalog flip makes the batch
+visible.  No put ever writes a page the pre-flip catalog points at, so
+a crash at any byte of a put reopens bit-identically on the previous
+catalog.  The space cost: until :meth:`vacuum` slides every live span
+down and truncates the file, the file also holds the pages the
+previous flip freed (later puts reuse them as gaps).
 
 Files written by the version-1 layout (one mutable header page, data
 from page 1) are still accepted: opening one rewrites it in the
@@ -437,16 +437,6 @@ class PageStore:
     # ------------------------------------------------------------------
     # page layer
     # ------------------------------------------------------------------
-    def allocate_pages(self, count: int) -> int:
-        """Append ``count`` zeroed pages; return the first new page id."""
-        if count < 1:
-            raise StorageError("must allocate at least one page")
-        first = self.page_count
-        self._file.seek(first * self.page_size)
-        self._file.write(b"\x00" * (count * self.page_size))
-        self.page_count += count
-        return first
-
     def read_page(self, page_id: int) -> bytes:
         """One page through the buffer pool (LRU, counted)."""
         self._check_page(page_id)
@@ -492,23 +482,6 @@ class PageStore:
         METRICS.gauge("pages.pool_misses", stats["pool_misses"])
         METRICS.gauge("pages.pool_hit_rate", stats["hit_rate"])
 
-    def write_page(self, page_id: int, data: bytes) -> None:
-        """Write one page (write-through: file and pool stay in sync)."""
-        self._check_page(page_id)
-        if len(data) > self.page_size:
-            raise StorageError(
-                f"{len(data)} bytes exceed the {self.page_size}-byte page")
-        if page_id < RESERVED_PAGES:
-            raise StorageError(
-                f"page {page_id} is reserved (superblock/catalog); "
-                f"use put_blob")
-        padded = data + b"\x00" * (self.page_size - len(data))
-        self._file.seek(page_id * self.page_size)
-        self._file.write(padded)
-        if page_id in self._pool:
-            self._pool[page_id] = padded
-            self._pool.move_to_end(page_id)
-
     def _check_page(self, page_id: int) -> None:
         if not 0 <= page_id < self.page_count:
             raise StorageError(
@@ -543,117 +516,83 @@ class PageStore:
     def put_blob(self, name: str, data: bytes) -> None:
         """Store ``data`` under ``name`` across a contiguous page span.
 
-        Reuses the existing span when the new bytes still fit in it;
-        otherwise appends a fresh span and repoints the catalog.  A
-        catalog that would overflow the header page is rejected *before*
-        anything is written, so a failed put leaves the store exactly as
-        it was.
+        A one-blob :meth:`put_blobs`: the bytes land on pages the
+        current catalog does not reference and one flip repoints the
+        name.  A catalog that would overflow the header page is rejected
+        *before* anything is written, so a failed put leaves the store
+        exactly as it was.
         """
         self.put_blobs({name: data})
 
     def put_blobs(self, items: dict[str, bytes],
-                  delete: Iterable[str] = (),
-                  reclaim: bool = False) -> None:
+                  delete: Iterable[str] = ()) -> None:
         """Write every blob in ``items`` and drop every name in
         ``delete`` under a **single** catalog flip.
 
         (Instrumented wrapper — semantics live in the impl below.)
         """
         if not METRICS.enabled:
-            return self._put_blobs_impl(items, delete, reclaim)
+            return self._put_blobs_impl(items, delete)
         t0 = time.perf_counter()
-        result = self._put_blobs_impl(items, delete, reclaim)
+        result = self._put_blobs_impl(items, delete)
         METRICS.observe("pages.put_blobs.seconds", time.perf_counter() - t0)
         METRICS.inc("pages.blob_writes", len(items))
         self._publish_pool_gauges()
         return result
 
     def _put_blobs_impl(self, items: dict[str, bytes],
-                        delete: Iterable[str] = (),
-                        reclaim: bool = False) -> None:
+                        delete: Iterable[str] = ()) -> None:
         """Write every blob in ``items`` and drop every name in
-        ``delete`` under a **single** catalog flip.
+        ``delete`` under a **single** catalog flip, copy-on-write.
 
-        All data spans are written first, then one header update makes
-        the whole batch visible atomically: a reader (or a reopen after
-        a crash) sees either none of the batch or all of it, and a
-        multi-blob save pays one catalog flip — one fsync pair under
-        ``sync=True`` — instead of one per blob.  Span-reuse, overflow
-        and crash semantics match :meth:`put_blob`; names in ``delete``
-        that are not cataloged are ignored (a crashed earlier cleanup
-        must not fail the retry).
-
-        With ``reclaim=True`` the batch additionally recycles dead
-        space and — crucially — never writes a page the *current*
-        catalog references.  Each changed blob is first-fit into the
-        gaps between live spans (or the tail) instead of rewriting its
-        old span in place; a blob whose bytes are unchanged keeps its
-        span untouched; allocations shrink back to the pages actually
-        needed; and the batch's ``page_count`` drops to the last live
-        page, so freed tail space is reused by later puts rather than
-        growing the file (the file itself is never truncated here —
-        exported mmap views stay valid — :meth:`vacuum` reclaims the
-        bytes).  Because the pre-flip catalog's pages are never
-        overwritten, the one non-atomic window of the default path (the
-        in-place span rewrite, which can tear a blob's *contents*)
-        closes: a crash at **any** byte of a reclaiming batch reopens
-        bit-identically on the previous catalog.  The cost is one
-        whole-span read per unchanged blob (the equality probe) and
-        relocated writes for changed ones — the same bytes the default
-        path would write anyway.
+        No page the *current* catalog references is written.  Each
+        changed blob is first-fit into the gaps between the pre-flip
+        spans (or past the last one), a blob whose bytes are unchanged
+        keeps its span without a write, and only then does one header
+        update make the whole batch visible: a reader, or a reopen
+        after a crash at **any** byte of the batch, sees the previous
+        catalog bit-identically or the new one, and a multi-blob save
+        pays one flip — one fsync pair under ``sync=True`` — instead of
+        one per blob.  The batch's ``page_count`` is the end of the
+        last live span, so pages it frees are reused by later puts; the
+        file itself is never truncated here (exported mmap views stay
+        valid) — :meth:`vacuum` gives the bytes back.  An unchanged
+        blob costs one whole-span read (the equality probe).  Names in
+        ``delete`` that are not cataloged are ignored (a crashed earlier
+        cleanup must not fail the retry).
         """
         candidate = dict(self._catalog)
         for name in delete:
             candidate.pop(name, None)
+        # every interval the *pre-flip* catalog references is
+        # untouchable until the flip lands: a crash anywhere in this
+        # batch must fall back to it bit-identically
+        busy = sorted((span[0], span[0] + span[2])
+                      for span in self._catalog.values())
         writes: list[tuple[int, bytes, int]] = []
-        page_count = self.page_count
-        if reclaim:
-            # every interval the *pre-flip* catalog references is
-            # untouchable until the flip lands: a crash anywhere in
-            # this batch must fall back to it bit-identically
-            busy = sorted((span[0], span[0] + span[2])
-                          for span in self._catalog.values())
-            for name, data in items.items():
-                data = bytes(data)
-                needed = self._pages_for(len(data))
-                span = candidate.get(name)
-                if span is not None and span[1] == len(data) and \
-                        self._span_bytes(span) == data:
-                    if span[2] != needed:
-                        # give back over-allocation from a fatter past
-                        candidate[name] = [span[0], len(data), needed,
-                                           zlib.crc32(data)]
-                    continue
-                first = self._first_fit(busy, needed)
-                busy.append((first, first + needed))
-                busy.sort()
-                candidate[name] = [first, len(data), needed,
-                                   zlib.crc32(data)]
-                writes.append((first, data, needed))
-            page_count = max(
-                [RESERVED_PAGES] +
-                [span[0] + span[2] for span in candidate.values()])
-        else:
-            for name, data in items.items():
-                data = bytes(data)
-                needed = self._pages_for(len(data))
-                span = candidate.get(name)
-                # reuse is judged by the span's *allocated* pages, not
-                # the current byte length, so shrink-then-regrow stays
-                # in place
-                grow = span is None or needed > span[2]
-                first = page_count if grow else span[0]
-                allocated = needed if grow else span[2]
-                if grow:
-                    page_count += needed
-                candidate[name] = [first, len(data), allocated,
-                                   zlib.crc32(data)]
-                writes.append((first, data, needed))
+        for name, data in items.items():
+            data = bytes(data)
+            needed = self._pages_for(len(data))
+            span = candidate.get(name)
+            if span is not None and span[1] == len(data) and \
+                    self._span_bytes(span) == data:
+                if span[2] != needed:
+                    # give back over-allocation from a fatter past
+                    candidate[name] = [span[0], len(data), needed,
+                                       zlib.crc32(data)]
+                continue
+            first = self._first_fit(busy, needed)
+            busy.append((first, first + needed))
+            busy.sort()
+            candidate[name] = [first, len(data), needed, zlib.crc32(data)]
+            writes.append((first, data, needed))
         if candidate == self._catalog and not writes:
             return
+        page_count = max([RESERVED_PAGES] +
+                         [span[0] + span[2] for span in candidate.values()])
         catalog_raw = _serialize_catalog(candidate, self.page_size)
-        # data + tail padding covers each whole span, so a grown span is
-        # written once, directly — no allocate_pages zero-fill first
+        # data + tail padding covers each whole span, so a span is
+        # written once, directly — no zero-fill first
         failpoint("pagestore:put:pre-data", store=self)
         for index, (first, data, needed) in enumerate(writes):
             if index:
@@ -691,19 +630,21 @@ class PageStore:
 
         ``prefer_mmap=True`` returns a read-only ``memoryview`` over an
         mmap of the file — zero intermediate copies.  The view stays
-        *readable* until :meth:`close`, but it aliases the file: a later
-        :meth:`put_blob` that rewrites the same span shows through it.
-        Consume (parse or copy) the view before writing the blob again;
-        the default path returns an independent ``bytes`` assembled page
-        by page through the buffer pool.
+        *readable* until :meth:`close`, but it aliases the file: once a
+        put or delete has freed the span, a later put may reuse its
+        pages, and the new bytes show through the view.  Consume (parse
+        or copy) the view before writing the blob again; the default
+        path returns an independent ``bytes`` assembled page by page
+        through the buffer pool.
 
         ``verify=True`` checks the bytes against the CRC the catalog
         recorded at write time and raises
         :class:`~repro.errors.CorruptionError` on mismatch — the
-        detector for the one non-atomic window left in the default
-        write path, an in-place span rewrite torn by a crash.  Blobs
-        written before CRCs existed in the catalog are passed through
-        unchecked.
+        detector for span bytes that changed, or never reached the
+        disk, after their flip: a bit flip, or a power loss without
+        ``sync=True`` that persisted the flip ahead of its data pages.
+        Blobs written before CRCs existed in the catalog are passed
+        through unchecked.
         """
         span = self._catalog.get(name)
         if span is None:
@@ -756,17 +697,15 @@ class PageStore:
         return self._map
 
     def delete_blob(self, name: str) -> None:
-        """Drop ``name`` from the catalog (atomic flip).
+        """Drop ``name`` from the catalog in one copy-on-write flip.
 
-        The span's pages become orphans — unreachable but still
-        allocated — until :meth:`vacuum` reclaims them.
+        Later puts reuse the span's pages; the file keeps them until
+        :meth:`vacuum` truncates it.
         """
         if name not in self._catalog:
             raise KeyError(f"no blob named {name!r} in {self.path!r}")
         failpoint("pagestore:delete:pre-flip", store=self, blob=name)
-        del self._catalog[name]
-        self._write_header()
-        self.flush()
+        self._put_blobs_impl({}, (name,))
 
     def has_blob(self, name: str) -> bool:
         """Whether the catalog holds ``name``."""
@@ -787,14 +726,14 @@ class PageStore:
     def allocated_pages(self) -> int:
         """Data pages reachable through the catalog (reserved excluded).
 
-        ``page_count - RESERVED_PAGES - allocated_pages`` is the orphan
-        count :meth:`vacuum` reclaims: spans left behind when a blob
-        outgrew its allocation and was rewritten elsewhere.
+        The file's other data pages are free: spans that earlier flips
+        released when a blob was rewritten or deleted.  Later puts
+        reuse them, and :meth:`vacuum` gives them back.
         """
         return sum(span[2] for span in self._catalog.values())
 
     def vacuum(self) -> int:
-        """Reclaim orphaned page spans; returns the pages given back.
+        """Give back the file's free pages; returns how many.
 
         (Instrumented wrapper — semantics live in the impl below.)
         """
@@ -812,21 +751,27 @@ class PageStore:
         return reclaimed
 
     def _vacuum_impl(self) -> int:
-        """Reclaim orphaned page spans; returns the pages given back.
+        """Give back the file's free pages; returns how many.
 
         The compacted layout is written to a **sibling temp file** and
         atomically renamed over this one (``os.replace``), so a crash
         at any point leaves either the old file or the complete
         compacted file — never a live span half-overwritten by its own
-        relocation.  Every blob keeps its byte content; orphaned spans
-        and over-allocation from earlier larger sizes are dropped.  All
-        buffer-pool entries and the shared mmap are invalidated;
-        ``memoryview`` exports from earlier ``prefer_mmap`` reads alias
-        the *old* file and must not be trusted afterwards.
+        relocation.  Every blob keeps its byte content; free spans,
+        over-allocation from earlier larger sizes and the dead tail past
+        ``page_count`` are dropped.  The pages given back are counted
+        from the file's size, because a put trims ``page_count`` to the
+        last live page but never truncates the file.  All buffer-pool
+        entries and the shared mmap are invalidated; ``memoryview``
+        exports from earlier ``prefer_mmap`` reads alias the *old* file
+        and must not be trusted afterwards.
         """
         compact_pages = RESERVED_PAGES + sum(
             self._pages_for(span[1]) for span in self._catalog.values())
-        reclaimed = self.page_count - compact_pages
+        self.flush()
+        file_pages = self._pages_for(
+            os.fstat(self._file.fileno()).st_size)
+        reclaimed = file_pages - compact_pages
         if reclaimed <= 0:
             return 0
         # read everything through the current layout first

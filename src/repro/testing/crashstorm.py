@@ -174,14 +174,11 @@ def _open_fds() -> Optional[int]:
 class _StoreScenario:
     """Raw PageStore churn; the oracle is a plain dict.
 
-    Batches that only introduce *new* names use the default put path
-    (grown spans land on fresh pages — atomic under the catalog flip);
-    batches that overwrite existing blobs use ``reclaim=True``, the
-    crash-atomic path the checkpoint save uses.  The default path's
-    in-place overwrite is *documented* as tearable by a crash (the CRC
-    catches it, scrub quarantines it — see ``docs/durability.md`` and
-    the scrub tests), so storming it against a strict prefix oracle
-    would assert a guarantee the store deliberately does not make.
+    Every batch, fresh names and overwrites alike, is one copy-on-write
+    ``put_blobs`` flip that never writes a page the pre-flip catalog
+    references, so a crash at any byte of it must reopen on the state
+    before the batch or after it: the strict prefix oracle holds for
+    every put, delete and vacuum.
     """
 
     name = "store"
@@ -243,10 +240,7 @@ class _StoreScenario:
                     store = PageStore(self._path(workdir),
                                       page_size=self.PAGE_SIZE, sync=True)
                 elif step[0] == "put":
-                    batch = dict(step[1])
-                    fresh = all(not store.has_blob(name)
-                                for name in batch)
-                    store.put_blobs(batch, reclaim=not fresh)
+                    store.put_blobs(step[1])
                 elif step[0] == "delete":
                     live = sorted(store.blobs())
                     if live:

@@ -460,11 +460,11 @@ class TestStaleHandlesAcrossBulkLoad:
 
 
 class TestSnapshotPinSurvivesCheckpoint:
-    def test_pinned_snapshot_immune_to_in_place_span_rewrite(
-            self, tmp_path):
+    def test_pinned_snapshot_immune_to_freed_span_reuse(self, tmp_path):
         """A snapshot pinned from a lazily opened service aliases
-        nothing: a checkpoint that rewrites an arena's span in place
-        (delete -> same-size image) must not mutate the pinned view."""
+        nothing: the first checkpoint after the pin frees the pinned
+        arena's span, the second writes a same-size image into those
+        freed pages, and neither may change the pinned view."""
         doc = _service(tmp_path)
         handles = doc.bulk_load([f"p{i}" for i in range(32)])
         doc.checkpoint(include_payloads=False)
@@ -473,15 +473,16 @@ class TestSnapshotPinSurvivesCheckpoint:
         assert back.tree.materialized_shards == []   # mmap-backed images
         snap = back.snapshot()
         frozen_labels = snap.labels()
-        victim = handles[5]
-        assert snap.is_deleted(victim) is False
-        back.delete(victim)                # same-size arena image
-        back.checkpoint()                  # rewrites the span in place
-        assert snap.is_deleted(victim) is False      # pin unchanged
+        victims = handles[5], handles[6]
+        assert not any(snap.is_deleted(victim) for victim in victims)
+        for victim in victims:
+            back.delete(victim)            # same-size arena image
+            back.checkpoint(include_payloads=False)
+        assert not any(snap.is_deleted(victim) for victim in victims)
         assert snap.labels() == frozen_labels
-        assert snap.label(victim) == frozen_labels[5]
+        assert snap.label(victims[0]) == frozen_labels[5]
         fresh = back.snapshot()
-        assert fresh.is_deleted(victim) is True
+        assert all(fresh.is_deleted(victim) for victim in victims)
         back.close()
 
 

@@ -522,9 +522,9 @@ class TestLazySaveFidelity:
             assert lazy.materialized_shards == []
 
     def test_torn_arena_image_detected_on_load(self, tmp_path):
-        """A same-length in-place corruption (the page store's one
-        non-atomic rewrite window) must fail the manifest CRC, not
-        deserialize garbage labels."""
+        """A same-length corruption of an arena image (a disk that
+        flips bits) must fail the manifest CRC, not deserialize garbage
+        labels."""
         tree, handles, path = self._saved(tmp_path)
         with PageStore(path) as store:
             good = bytes(store.get_blob("scheme.s1"))
@@ -650,18 +650,6 @@ class TestSaveExtraBlobs:
                 tree.save(store, extra_blobs={"scheme.s0": b"boom"})
             with pytest.raises(ParameterError, match="collide"):
                 tree.save(store, extra_blobs={"scheme": b"boom"})
-
-    def test_extra_blobs_on_plain_store(self):
-        """Without put_blobs the extras land before the manifest."""
-        order = []
-
-        class PlainStore:
-            def put_blob(self, name, data):
-                order.append(name)
-
-        tree, _ = _sharded(8, 2)
-        tree.save(PlainStore(), extra_blobs={"meta.extra": b"x"})
-        assert order.index("meta.extra") < order.index("scheme")
 
 
 class TestSplitMerge:

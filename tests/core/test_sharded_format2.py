@@ -36,7 +36,7 @@ def _save_format2(engine, store, moves, name="scheme",
     image plus a sidecar of live leaf slots walked in document order,
     a CRC of each in the manifest, and ``moves`` (the split/merge
     leaf moves, in the order they happened) as the JSON forwarding
-    list — all in one reclaiming catalog flip."""
+    list — all in one catalog flip."""
     d = engine._dir
     entries = []
     puts = {}
@@ -81,7 +81,7 @@ def _save_format2(engine, store, moves, name="scheme",
     puts[name] = json.dumps(manifest).encode("utf-8")
     stale = [blob for blob in store.blobs()
              if blob.startswith(f"{name}.") and blob not in puts]
-    store.put_blobs(puts, delete=stale, reclaim=True)
+    store.put_blobs(puts, delete=stale)
 
 
 def _walk(engine, sid):

@@ -312,37 +312,17 @@ class TestFaultyStore:
         """The disk acknowledges every fsync but keeps nothing: after
         power loss the acknowledged overwrite is gone, yet the store
         reopens cleanly on the previous catalog with the old bytes
-        intact — the ``reclaim=True`` guarantee from
-        docs/durability.md, held even against a lying disk, because a
-        reclaiming batch never writes a page the pre-flip catalog
-        references."""
+        intact — the copy-on-write guarantee from docs/durability.md,
+        held even against a lying disk, because a put never writes a
+        page the pre-flip catalog references."""
         path = str(tmp_path / "store.ltp")
         with PageStore(path, page_size=256, sync=True) as store:
             store.put_blob("a", b"old" * 20)
         with FaultyStore(path, FaultPolicy(lying_fsync=True),
                          sync=True) as hostile:
-            hostile.store.put_blobs({"a": b"NEW" * 20}, reclaim=True)
+            hostile.store.put_blob("a", b"NEW" * 20)
             assert hostile.store.get_blob("a") == b"NEW" * 20
             lost = hostile.file.power_loss()
             assert lost > 0
         with PageStore(path) as back:
             assert back.get_blob("a", verify=True) == b"old" * 20
-
-    def test_lying_fsync_power_loss_tears_in_place_overwrite(self,
-                                                             tmp_path):
-        """The converse: the *default* put path rewrites the span in
-        place, so the same power loss destroys the old version too —
-        but detectably (the surviving catalog's CRC convicts the
-        zeroed span), which is what scrub/repair quarantine."""
-        from repro.errors import CorruptionError
-
-        path = str(tmp_path / "store.ltp")
-        with PageStore(path, page_size=256, sync=True) as store:
-            store.put_blob("a", b"old" * 20)
-        with FaultyStore(path, FaultPolicy(lying_fsync=True),
-                         sync=True) as hostile:
-            hostile.store.put_blob("a", b"NEW" * 20)   # in-place
-            hostile.file.power_loss()
-        with PageStore(path) as back:
-            with pytest.raises(CorruptionError):
-                back.get_blob("a", verify=True)

@@ -26,33 +26,25 @@ class TestPageLayer:
         with open(path, "rb") as handle:
             assert handle.read(8) == PAGE_MAGIC
 
-    def test_allocate_and_rw_pages(self, path):
-        with PageStore(path, page_size=256) as store:
-            first = store.allocate_pages(3)
-            assert first == RESERVED_PAGES
-            assert store.page_count == RESERVED_PAGES + 3
-            store.write_page(first + 1, b"abc")
-            assert store.read_page(first + 1)[:3] == b"abc"
-            assert store.read_page(first + 1).rstrip(b"\x00") == b"abc"
-
     def test_page_bounds_checked(self, path):
-        with PageStore(path) as store:
+        with PageStore(path, page_size=128) as store:
             with pytest.raises(StorageError):
                 store.read_page(5)
+            store.put_blob("a", b"a" * 300)
+            store.put_blob("b", b"b" * 100)
+            store.delete_blob("a")
+            store.put_blob("c", b"c" * 200)     # first fit from the front
+            # no span ever covers the superblock or a catalog slot
+            assert min(span[0] for span in store._catalog.values()) == \
+                RESERVED_PAGES
+            assert store.read_page(RESERVED_PAGES)[:3] == b"ccc"
             with pytest.raises(StorageError):
-                store.write_page(0, b"clobber the header")
-
-    def test_oversized_write_rejected(self, path):
-        with PageStore(path, page_size=128) as store:
-            page = store.allocate_pages(1)
-            with pytest.raises(StorageError):
-                store.write_page(page, b"x" * 129)
+                store.read_page(store.page_count)
 
     def test_pool_caps_and_counts(self, path):
         with PageStore(path, page_size=128, pool_pages=2) as store:
-            first = store.allocate_pages(3)
-            for page_id in range(first, first + 3):
-                store.write_page(page_id, bytes([page_id]) * 8)
+            store.put_blob("x", b"x" * 3 * 128)     # three data pages
+            first = store._catalog["x"][0]
             store.read_page(first)        # miss
             store.read_page(first)        # hit
             store.read_page(first + 1)    # miss
@@ -158,17 +150,10 @@ class TestBlobLayer:
             assert bytes(view) == blob == store.get_blob("tree")
             view.release()
 
-    def test_overwrite_in_place_when_it_fits(self, path):
-        with PageStore(path, page_size=128) as store:
-            store.put_blob("tree", b"a" * 300)   # 3 pages
-            pages = store.page_count
-            store.put_blob("tree", b"b" * 250)   # still fits the span
-            assert store.page_count == pages
-            assert store.get_blob("tree") == b"b" * 250
-
     def test_shrink_then_regrow_reuses_the_span(self, path):
-        """Regression: a shrunk blob keeps its allocated pages, so
-        regrowing within them must not leak a fresh span per cycle."""
+        """Regression: shrink-then-regrow must not leak a fresh span per
+        cycle — each copy-on-write put first-fits into the span the
+        previous one freed."""
         with PageStore(path, page_size=128) as store:
             store.put_blob("x", b"a" * 300)   # 3 pages allocated
             pages = store.page_count
@@ -204,15 +189,19 @@ class TestBlobLayer:
 
     def test_delete_blob_orphans_span_until_vacuum(self, path):
         with PageStore(path, page_size=128) as store:
-            store.put_blob("keep", b"k" * 200)
-            store.put_blob("drop", b"d" * 500)
-            pages = store.page_count
+            store.put_blob("keep", b"k" * 200)     # pages 3-4
+            store.put_blob("drop", b"d" * 500)     # pages 5-8
+            size = os.path.getsize(path)
             store.delete_blob("drop")
             assert not store.has_blob("drop")
-            assert store.page_count == pages       # span orphaned
+            # the flip trims page_count to the last live page, but the
+            # file keeps the freed span...
+            assert store.page_count == RESERVED_PAGES + 2
+            assert os.path.getsize(path) == size
             with pytest.raises(KeyError):
                 store.delete_blob("drop")
             assert store.vacuum() == 4             # ...until vacuumed
+            assert os.path.getsize(path) == 128 * (RESERVED_PAGES + 2)
             assert store.get_blob("keep") == b"k" * 200
         with PageStore(path) as store:
             assert not store.has_blob("drop")
@@ -384,15 +373,33 @@ class TestVacuum:
             assert store.get_blob("b") == b"B" * 1500
 
     def test_vacuum_trims_over_allocation(self, path):
-        """A shrunk blob keeps its span until vacuum right-sizes it."""
+        """A shrunk blob relocates to a right-sized span; vacuum gives
+        back the fat span it left behind."""
         with PageStore(path, page_size=128) as store:
             store.put_blob("x", b"x" * 1000)    # 8 pages allocated
-            store.put_blob("x", b"y" * 100)     # still 8 allocated
-            assert store.allocated_pages == 8
+            store.put_blob("x", b"y" * 100)     # relocated, 1 page
+            assert store.allocated_pages == 1
             reclaimed = store.vacuum()
-            assert reclaimed == 7
+            assert reclaimed == 8
             assert store.allocated_pages == 1
             assert store.get_blob("x") == b"y" * 100
+
+    def test_vacuum_truncates_a_trimmed_tail(self, path):
+        """A put trims page_count below the file's end; vacuum counts
+        the dead tail from the file size and cuts it."""
+        with PageStore(path, page_size=128) as store:
+            store.put_blob("keep", b"k" * 200)     # pages 3-4
+            store.put_blob("big", b"b" * 1000)     # pages 5-12
+            store.put_blob("big", b"1" * 100)      # relocated: page 13
+            store.put_blob("big", b"2" * 100)      # first fit: page 5
+            assert store.page_count == RESERVED_PAGES + 3
+            assert os.path.getsize(path) == 128 * 14
+            assert store.vacuum() == 8
+            assert os.path.getsize(path) == 128 * (RESERVED_PAGES + 3)
+            assert store.get_blob("keep") == b"k" * 200
+            assert store.get_blob("big") == b"2" * 100
+        with PageStore(path) as store:
+            assert store.get_blob("big") == b"2" * 100
 
     def test_vacuum_noop_when_compact(self, path):
         with PageStore(path, page_size=128) as store:
@@ -480,17 +487,22 @@ class TestBatchedPuts:
             assert store._seq == seq
 
     def test_batch_reuses_spans_like_put_blob(self, path):
+        """put_blobs and put_blob share one copy-on-write path: each
+        relocates a changed blob and the next one reuses the freed
+        span."""
         with PageStore(path, page_size=128) as store:
-            store.put_blob("a", b"a" * 300)      # 3 pages
-            pages = store.page_count
-            store.put_blobs({"a": b"A" * 200})   # fits the old span
-            assert store.page_count == pages
-            assert bytes(store.get_blob("a")) == b"A" * 200
+            store.put_blob("a", b"a" * 300)      # pages 3-5
+            store.put_blobs({"a": b"A" * 200})   # relocated: pages 6-7
+            store.put_blob("a", b"b" * 300)      # back into pages 3-5
+            assert store._catalog["a"][0] == RESERVED_PAGES
+            store.put_blobs({"a": b"B" * 200})   # back into pages 6-7
+            assert store.page_count == RESERVED_PAGES + 5
+            assert bytes(store.get_blob("a")) == b"B" * 200
 
 
 class TestReclaimingPuts:
-    """put_blobs(reclaim=True): recycle dead space, never touch a page
-    the pre-flip catalog references."""
+    """Copy-on-write puts: recycle dead space, never touch a page the
+    pre-flip catalog references."""
 
     def test_changed_blob_relocates_and_old_span_survives(self, path):
         """The old span's bytes must remain readable raw off the file
@@ -499,7 +511,7 @@ class TestReclaimingPuts:
         with PageStore(path, page_size=128) as store:
             store.put_blob("x", b"a" * 300)
             span = list(store._catalog["x"])
-            store.put_blobs({"x": b"B" * 300}, reclaim=True)
+            store.put_blobs({"x": b"B" * 300})
             assert store._catalog["x"][0] != span[0]   # relocated
             assert bytes(store.get_blob("x")) == b"B" * 300
         with open(path, "rb") as handle:
@@ -511,8 +523,7 @@ class TestReclaimingPuts:
             store.put_blob("same", b"s" * 200)
             store.put_blob("move", b"m" * 200)
             span = list(store._catalog["same"])
-            store.put_blobs({"same": b"s" * 200, "move": b"M" * 200},
-                            reclaim=True)
+            store.put_blobs({"same": b"s" * 200, "move": b"M" * 200})
             assert store._catalog["same"][:2] == span[:2]
             assert bytes(store.get_blob("same")) == b"s" * 200
             assert bytes(store.get_blob("move")) == b"M" * 200
@@ -521,12 +532,11 @@ class TestReclaimingPuts:
         """Alternating rewrites must ping-pong between two span sets
         instead of appending a fresh span per cycle."""
         with PageStore(path, page_size=128) as store:
-            store.put_blobs({"x": b"0" * 600}, reclaim=True)
-            store.put_blobs({"x": b"1" * 600}, reclaim=True)
+            store.put_blobs({"x": b"0" * 600})
+            store.put_blobs({"x": b"1" * 600})
             high_water = store.page_count
             for cycle in range(2, 10):
-                store.put_blobs({"x": bytes([cycle]) * 600},
-                                reclaim=True)
+                store.put_blobs({"x": bytes([cycle]) * 600})
                 assert store.page_count <= high_water
             assert bytes(store.get_blob("x")) == bytes([9]) * 600
         with PageStore(path) as store:
@@ -536,20 +546,20 @@ class TestReclaimingPuts:
         with PageStore(path, page_size=128) as store:
             store.put_blob("x", b"x" * 1000)     # 8 pages allocated
             assert store.allocated_pages == 8
-            store.put_blobs({"x": b"y" * 100}, reclaim=True)
+            store.put_blobs({"x": b"y" * 100})
             assert store.allocated_pages == 1
             assert bytes(store.get_blob("x")) == b"y" * 100
 
     def test_deleted_blobs_span_reused_by_the_next_batch(self, path):
         """Within one batch a deleted blob's span stays busy (a crash
         falls back to the catalog that still references it); the *next*
-        reclaiming batch reuses the gap."""
+        batch reuses the gap."""
         with PageStore(path, page_size=128) as store:
             store.put_blob("keep", b"k" * 200)
             store.put_blob("dead", b"d" * 900)   # 8-page tail span
             pages = store.page_count
-            store.put_blobs({}, delete=["dead"], reclaim=True)
-            store.put_blobs({"new": b"n" * 600}, reclaim=True)
+            store.put_blobs({}, delete=["dead"])
+            store.put_blobs({"new": b"n" * 600})
             # the new 5-page span fits where "dead"'s 8 pages were
             assert store.page_count <= pages
             assert bytes(store.get_blob("keep")) == b"k" * 200
@@ -558,16 +568,15 @@ class TestReclaimingPuts:
 
     def test_torn_flip_of_reclaiming_batch_rewinds_bit_identical(
             self, path):
-        """Tear the catalog slot the reclaiming batch flipped: every
-        pre-flip blob must read back byte-for-byte — no span of the old
-        catalog was overwritten by the batch."""
+        """Tear the catalog slot the batch flipped: every pre-flip blob
+        must read back byte-for-byte — no span of the old catalog was
+        overwritten by the batch."""
         blobs = {f"b{i}": bytes([i]) * (100 + 37 * i) for i in range(5)}
         with PageStore(path, page_size=512) as store:
             for name, data in blobs.items():
                 store.put_blob(name, data)
             store.put_blobs({name: b"\xee" * len(data)
-                             for name, data in blobs.items()},
-                            reclaim=True)
+                             for name, data in blobs.items()})
             active = 1 + (store._seq % 2)
             page_size = store.page_size
         with open(path, "r+b") as handle:
@@ -587,7 +596,7 @@ class TestReclaimingPuts:
         with PageStore(path, page_size=128) as store:
             store.put_blob("x", b"x" * 900)
             seq = store._seq
-            store.put_blobs({"x": b"y" * 100}, reclaim=True)
+            store.put_blobs({"x": b"y" * 100})
             assert store._seq == seq + 1
             shrunk = store.page_count
             # freed tail pages really are reused by the next put
@@ -604,7 +613,7 @@ class TestReclaimingPuts:
         with PageStore(path, page_size=128) as store:
             store.put_blob("x", b"x" * 2000)
             size_before = os.path.getsize(path)
-            store.put_blobs({"x": b"y" * 50}, reclaim=True)
+            store.put_blobs({"x": b"y" * 50})
             assert os.path.getsize(path) >= size_before
             store.vacuum()
             assert os.path.getsize(path) < size_before
@@ -678,7 +687,7 @@ class TestSyncMode:
     def test_sync_roundtrip(self, path):
         with PageStore(path, page_size=128, sync=True) as store:
             store.put_blob("a", b"a" * 300)
-            store.put_blob("a", b"A" * 130)     # in-place rewrite
+            store.put_blob("a", b"A" * 130)     # relocated overwrite
         with PageStore(path, sync=True) as store:
             assert bytes(store.get_blob("a")) == b"A" * 130
             assert store.vacuum() >= 0
@@ -688,10 +697,10 @@ class TestSyncMode:
 class TestVacuumUnderShardedSaveCycles:
     """PageStore.vacuum() interleaved with repeated sharded saves.
 
-    Each sharded re-save grows some arenas past their allocated spans
-    (fresh spans appended, orphans left behind); vacuum must reclaim
-    exactly those orphans, keep ``allocated_pages`` equal to the live
-    span total afterwards, and never disturb the labels a reopen sees.
+    Each sharded re-save relocates every changed arena and leaves its
+    old span free; vacuum must give back exactly the file's free pages,
+    keep ``allocated_pages`` equal to the live span total afterwards,
+    and never disturb the labels a reopen sees.
     """
 
     def _edit(self, tree, handles, seed):
@@ -715,7 +724,8 @@ class TestVacuumUnderShardedSaveCycles:
                 span_pages = sum(
                     store._pages_for(store.blob_length(name))
                     for name in store.blobs())
-                orphans = store.page_count - RESERVED_PAGES - span_pages
+                file_pages = os.path.getsize(path) // store.page_size
+                orphans = file_pages - RESERVED_PAGES - span_pages
                 reclaimed = store.vacuum()
                 reclaimed_total += reclaimed
                 # vacuum reclaims exactly the unreachable spans plus
@@ -737,7 +747,7 @@ class TestVacuumUnderShardedSaveCycles:
 
     def test_allocated_pages_monotone_after_vacuum(self, path):
         """Between vacuums allocated_pages only moves with live spans;
-        a post-vacuum save that fits in place must not grow it."""
+        a post-vacuum save of unchanged blobs must not grow it."""
         from repro.core.params import LTreeParams
         from repro.core.sharded import ShardedCompactLTree
 
@@ -747,7 +757,7 @@ class TestVacuumUnderShardedSaveCycles:
             tree.save(store, include_payloads=False)
             store.vacuum()
             baseline = store.allocated_pages
-            # an identical re-save rewrites spans in place
+            # an identical re-save keeps every span without a write
             tree.save(store, include_payloads=False)
             assert store.allocated_pages == baseline
             assert store.page_count == RESERVED_PAGES + baseline
