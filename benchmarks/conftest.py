@@ -32,5 +32,5 @@ def chain_32():
 
 @pytest.fixture()
 def labeled_small(xmark_small):
-    # function-scoped: labeling mutates node.extra
+    # function-scoped: labeling writes the nodes' begin and end slots
     return LabeledDocument(xmark_small)

@@ -82,8 +82,8 @@ def main() -> None:
           f"{labeled.scheme.tree.tombstone_count()} tombstones")
     check_queries(document, labeled)
 
-    # 6: persist labels only, restart, re-attach (payloads are live DOM
-    # nodes, so they stay out of the wire format)
+    # 6: persist labels only and restore them (the scheme carries no
+    # payloads: the DOM nodes hold their own handles)
     wire = snapshot(labeled.scheme.tree, include_payloads=False)
     rebuilt_tree = restore(wire)
     assert rebuilt_tree.labels() == labeled.scheme.tree.labels()

@@ -48,8 +48,8 @@ def main() -> None:
 
     target = next(element for element in document.iter_elements()
                   if element.parent is not None and
-                  element.extra.begin[0] == element.extra.end[0])
-    owner = target.extra.begin[0]
+                  element.begin[0] == element.end[0])
+    owner = target.begin[0]
     before = [sink.snapshot() for sink in scheme.shard_counters]
     labeled.append_subtree(target, parse("<memo>shard-local</memo>").root)
     written = [rank for rank, (sink, base) in

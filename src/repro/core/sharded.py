@@ -612,12 +612,6 @@ class ShardedCompactLTree:
                       sink)
 
     @property
-    def _shards(self) -> list[_Shard]:
-        """The arenas in document order (compat view of the directory)."""
-        d = self._dir
-        return [d.shards[sid] for sid in d.ids]
-
-    @property
     def epoch(self) -> int:
         """Directory membership version; bumps on bulk load, split,
         merge, and compact (not on stride growth)."""
@@ -860,28 +854,6 @@ class ShardedCompactLTree:
             shard.pending[slot] = payload
         else:
             shard.tree.set_payload(slot, payload)
-
-    def set_live_payloads(self, payloads: Sequence[Any]) -> None:
-        """Reattach one payload per live leaf, in document order.
-
-        The bulk :meth:`set_payload` of a reopen: each shard takes its
-        run of ``payloads`` in one call — a lazy shard's pending buffer
-        in one update, so nothing materializes.
-        """
-        shards = self._shards
-        lives = [shard.live_slots() for shard in shards]
-        if sum(map(len, lives)) != len(payloads):
-            raise ValueError(f"{len(payloads)} payloads for "
-                             f"{sum(map(len, lives))} live leaves")
-        start = 0
-        for shard, live in zip(shards, lives):
-            run = payloads[start:start + len(live)]
-            start += len(live)
-            if shard.is_lazy:
-                shard.pending.update(zip(live, run))
-            else:
-                for slot, payload in zip(live, run):
-                    shard.tree.set_payload(slot, payload)
 
     # ------------------------------------------------------------------
     # reads

@@ -43,11 +43,6 @@ from repro.xml.model import (XMLCommentNode, XMLDocument, XMLElement,
                              XMLInstructionNode, XMLNode, XMLTextNode)
 from repro.xml.parser import is_name, parse
 
-#: token-kind markers used in scheme payloads
-BEGIN = "begin"
-END = "end"
-POINT = "point"  # text / comment / PI: a single list position
-
 #: the column names of a format-2 blob
 _COLUMNS = ("kinds", "prolog", "epilog", "names", "tags",
             "attribute_owners", "attribute_names", "attribute_values",
@@ -55,16 +50,6 @@ _COLUMNS = ("kinds", "prolog", "epilog", "names", "tags",
 
 #: closes an element in the save walk's stack
 _CLOSE = object()
-
-
-class Handles:
-    """Scheme handles attached to a node via ``node.extra``."""
-
-    __slots__ = ("begin", "end")
-
-    def __init__(self, begin: Any, end: Any = None):
-        self.begin = begin
-        self.end = end
 
 
 def _columns_of(document: XMLDocument) -> dict:
@@ -249,15 +234,15 @@ def _misc(kinds: str, comments: Any, instructions: Any) -> list[XMLNode]:
             else XMLInstructionNode(*next(instructions)) for kind in kinds]
 
 
-def build(columns: dict, handles: Sequence[Any]
-          ) -> tuple[XMLDocument, list[tuple[str, XMLNode]]]:
+def build(columns: dict, handles: Sequence[Any]) -> XMLDocument:
     """Rebuild the document of ``columns`` on the scheme's live handles.
 
     One pass over the kind column zipped with ``handles``: each token
-    builds its node, attaches the node's :class:`Handles` and appends
-    the ``(kind, node)`` payload its handle carries.  Returns the
-    document and those payloads in handle order.  The columns must come
-    from :func:`decode` or :func:`decode_xml`; raises
+    builds its node (or closes its element) and stores its handle in
+    the node's ``begin`` slot, or an end tag's in its element's
+    ``end`` slot.  Attributes then attach through the pass's one
+    per-token list of nodes.  The columns must come from
+    :func:`decode` or :func:`decode_xml`; raises
     :class:`ParameterError` when they do not describe one root element
     or their token count is not the number of handles.
     """
@@ -272,8 +257,8 @@ def build(columns: dict, handles: Sequence[Any]
     comments = iter(columns["comments"])
     instructions = iter(columns["instructions"])
     prolog = _misc(columns["prolog"], comments, instructions)
-    payloads: list[tuple[str, XMLNode]] = []
-    append = payloads.append
+    nodes: list[XMLNode] = []   # the node of each token
+    append = nodes.append
     top = XMLElement("")   # holds the root while the pass runs
     parent, siblings = top, top.children
     stack: list[XMLElement] = []
@@ -281,9 +266,8 @@ def build(columns: dict, handles: Sequence[Any]
         if kind == "(":
             node = XMLElement(next_tag())
             node.parent = parent
-            node.extra = Handles(handle)
+            node.begin = handle
             siblings.append(node)
-            append((BEGIN, node))
             stack.append(parent)
             parent, siblings = node, node.children
         elif kind == ")":
@@ -291,8 +275,8 @@ def build(columns: dict, handles: Sequence[Any]
                 raise ParameterError(
                     "unbalanced kind column: an end token closes no "
                     "element")
-            parent.extra.end = handle
-            append((END, parent))
+            node = parent
+            node.end = handle
             parent = stack.pop()
             siblings = parent.children
         else:
@@ -303,9 +287,9 @@ def build(columns: dict, handles: Sequence[Any]
             else:
                 node = XMLInstructionNode(*next(instructions))
             node.parent = parent
-            node.extra = Handles(handle)
+            node.begin = handle
             siblings.append(node)
-            append((POINT, node))
+        append(node)
     if stack or len(top.children) != 1 or \
             not isinstance(top.children[0], XMLElement):
         raise ParameterError(
@@ -315,7 +299,6 @@ def build(columns: dict, handles: Sequence[Any]
     for owner, key, value in zip(columns["attribute_owners"],
                                  columns["attribute_names"],
                                  columns["attribute_values"]):
-        payloads[owner][1].attributes[names[key]] = value
-    return (XMLDocument(root, prolog,
-                        _misc(columns["epilog"], comments, instructions)),
-            payloads)
+        nodes[owner].attributes[names[key]] = value
+    return XMLDocument(root, prolog,
+                       _misc(columns["epilog"], comments, instructions))

@@ -53,7 +53,6 @@ from repro.core.persistence import restore, snapshot
 from repro.core.stats import NULL_COUNTERS, Counters
 from repro.errors import ParameterError
 from repro.labeling import codec
-from repro.labeling.codec import BEGIN, END, POINT, Handles
 from repro.labeling.containment import Region
 from repro.order.base import OrderedLabeling
 from repro.order.compact_list import (CompactEngineLabeling,
@@ -75,22 +74,54 @@ XML_BLOB = "document.xml"       # format 1 only
 SCHEME_BLOB = "scheme"
 
 
-def _emit_tokens(node: XMLNode) -> Iterator[tuple[str, XMLNode]]:
-    """(kind, node) pairs of a subtree in document-list order."""
-    if isinstance(node, XMLElement):
-        yield (BEGIN, node)
-        for child in node.children:
-            yield from _emit_tokens(child)
-        yield (END, node)
-    else:
-        yield (POINT, node)
+#: closes an element in the token walk's stack
+_CLOSE = object()
+
+
+def _tokens(node: XMLNode) -> tuple[str, list[XMLNode]]:
+    """A subtree's tokens in document-list order.
+
+    Returns one kind per token — ``(`` a begin tag, ``)`` an end tag,
+    ``.`` a text, comment or PI — and the node each token belongs to
+    (an element once per tag).  The walk keeps its own stack, so
+    nesting depth is not bounded by Python's recursion limit.
+    """
+    kinds: list[str] = []
+    nodes: list[XMLNode] = []
+    open_elements: list[XMLElement] = []
+    stack: list[Any] = [node]
+    while stack:
+        node = stack.pop()
+        if node is _CLOSE:
+            kinds.append(")")
+            nodes.append(open_elements.pop())
+        elif isinstance(node, XMLElement):
+            kinds.append("(")
+            nodes.append(node)
+            open_elements.append(node)
+            stack.append(_CLOSE)
+            stack.extend(reversed(node.children))
+        else:
+            kinds.append(".")
+            nodes.append(node)
+    return "".join(kinds), nodes
+
+
+def _attach(kinds: str, nodes: list[XMLNode], handles: list[Any]) -> None:
+    """Store each token's handle on its node: an end tag's in
+    ``node.end``, every other token's in ``node.begin``."""
+    for kind, node, handle in zip(kinds, nodes, handles):
+        if kind == ")":
+            node.end = handle
+        else:
+            node.begin = handle
 
 
 def _subtree_token_count(node: XMLNode) -> int:
     """Tokens a subtree contributes to the document list."""
     if isinstance(node, XMLElement):
-        return 2 + sum(_subtree_token_count(child)
-                       for child in node.children)
+        return sum(2 if isinstance(member, XMLElement) else 1
+                   for member in node.iter_nodes())
     return 1
 
 
@@ -140,7 +171,8 @@ class LabeledDocument:
     ----------
     document:
         The document to label.  A node may belong to at most one
-        ``LabeledDocument`` at a time (handles live on ``node.extra``).
+        ``LabeledDocument`` at a time: its scheme handles live in the
+        node's ``begin`` and ``end`` slots.
     scheme:
         Any order-labeling scheme; defaults to the compact L-Tree with
         ``params`` (:func:`repro.order.registry.default_scheme`).
@@ -182,37 +214,29 @@ class LabeledDocument:
         self._bulk_label()
 
     def _bulk_label(self) -> None:
-        pairs = list(_emit_tokens(self.document.root))
+        # the scheme carries no payloads: the nodes hold the handles
+        kinds, nodes = _tokens(self.document.root)
+        payloads = [None] * len(nodes)
         if getattr(self.scheme, "supports_partitioned_bulk", False):
             # shard-aligned bulk load: one contiguous run of top-level
             # children per arena, so a subtree edit writes one shard
             boundaries = shard_boundaries(self.document.root,
                                           self.scheme.tree.n_shards)
-            handles = self.scheme.bulk_load(pairs, boundaries=boundaries)
+            handles = self.scheme.bulk_load(payloads,
+                                            boundaries=boundaries)
         else:
-            handles = self.scheme.bulk_load(pairs)
-        self._attach(pairs, handles)
-
-    @staticmethod
-    def _attach(pairs: list[tuple[str, XMLNode]],
-                handles: list[Any]) -> None:
-        for (kind, node), handle in zip(pairs, handles):
-            if kind == BEGIN:
-                node.extra = Handles(handle)
-            elif kind == END:
-                assert isinstance(node.extra, Handles)
-                node.extra.end = handle
-            else:
-                node.extra = Handles(handle)
+            handles = self.scheme.bulk_load(payloads)
+        _attach(kinds, nodes, handles)
 
     # ------------------------------------------------------------------
     # label access
     # ------------------------------------------------------------------
-    def _handles(self, node: XMLNode) -> Handles:
-        handles = node.extra
-        if not isinstance(handles, Handles):
+    @staticmethod
+    def _begin(node: XMLNode) -> Any:
+        """The handle of a node's begin tag (or single position)."""
+        if node.begin is None:
             raise ValueError(f"{node!r} is not labeled by this document")
-        return handles
+        return node.begin
 
     def _label_of(self, handle: Any) -> Any:
         """Label of one scheme handle: one counted scheme lookup."""
@@ -221,22 +245,21 @@ class LabeledDocument:
 
     def begin_label(self, node: XMLNode) -> Any:
         """Label of the node's begin tag (or of its single position)."""
-        return self._label_of(self._handles(node).begin)
+        return self._label_of(self._begin(node))
 
     def end_label(self, node: XMLNode) -> Any:
         """Label of an element's end tag; point nodes reuse their label."""
-        handles = self._handles(node)
-        if handles.end is None:
-            return self._label_of(handles.begin)
-        return self._label_of(handles.end)
+        begin = self._begin(node)
+        if node.end is None:
+            return self._label_of(begin)
+        return self._label_of(node.end)
 
     def region(self, element: XMLElement) -> Region:
         """(begin, end) region of an element (paper Figure 1)."""
-        handles = self._handles(element)
-        if handles.end is None:
+        begin = self._begin(element)
+        if element.end is None:
             raise ValueError(f"{element!r} has no end tag (not an element)")
-        return Region(self._label_of(handles.begin),
-                      self._label_of(handles.end))
+        return Region(self._label_of(begin), self._label_of(element.end))
 
     def labels_in_order(self) -> list[Any]:
         """All current token labels in document order."""
@@ -255,8 +278,7 @@ class LabeledDocument:
         stack: list[tuple[XMLElement, int]] = [(self.document.root, 0)]
         while stack:
             element, level = stack.pop()
-            handles = self._handles(element)
-            yield element, handles.begin, handles.end, level
+            yield element, self._begin(element), element.end, level
             for child in reversed(list(element.child_elements())):
                 stack.append((child, level + 1))
 
@@ -297,10 +319,9 @@ class LabeledDocument:
         anchor = self._anchor_before(parent, index)
         parent.insert_child(index, subtree)
         self.structural_edits += 1
-        pairs = list(_emit_tokens(subtree))
-        handles = self.scheme.insert_run_after(
-            anchor, pairs)
-        self._attach(pairs, handles)
+        kinds, nodes = _tokens(subtree)
+        handles = self.scheme.insert_run_after(anchor, [None] * len(nodes))
+        _attach(kinds, nodes, handles)
         return subtree
 
     def append_subtree(self, parent: XMLElement,
@@ -317,10 +338,10 @@ class LabeledDocument:
 
     def _anchor_before(self, parent: XMLElement, index: int) -> Any:
         if index == 0:
-            return self._handles(parent).begin
+            return self._begin(parent)
         previous = parent.children[index - 1]
-        handles = self._handles(previous)
-        return handles.end if handles.end is not None else handles.begin
+        begin = self._begin(previous)
+        return previous.end if previous.end is not None else begin
 
     def move_subtree(self, node: XMLNode, new_parent: XMLElement,
                      index: int) -> XMLNode:
@@ -347,17 +368,12 @@ class LabeledDocument:
         if node.parent is None:
             raise ValueError("cannot delete the document root")
         self.structural_edits += 1
-        for kind, member in _emit_tokens(node):
-            handles = self._handles(member)
-            if kind == BEGIN:
-                self.scheme.delete(handles.begin)
-            elif kind == END:
-                if handles.end is not None:
-                    self.scheme.delete(handles.end)
-            else:
-                self.scheme.delete(handles.begin)
-        for _, member in _emit_tokens(node):
-            member.extra = None
+        kinds, nodes = _tokens(node)
+        for kind, member in zip(kinds, nodes):
+            self.scheme.delete(member.end if kind == ")"
+                               else self._begin(member))
+        for member in nodes:
+            member.begin = member.end = None
         node.parent.remove_child(node)
 
     def compact(self) -> int:
@@ -374,13 +390,10 @@ class LabeledDocument:
                 f"{self.scheme.name!r}")
         reclaimed = self.scheme.tree.tombstone_count()
         mapping = self.scheme.tree.compact()
-        for kind, node in _emit_tokens(self.document.root):
-            handles = self._handles(node)
-            if kind == END:
-                assert handles.end is not None
-                handles.end = mapping[handles.end]
-            else:
-                handles.begin = mapping[handles.begin]
+        for node in self.document.root.iter_nodes():
+            node.begin = mapping[self._begin(node)]
+            if node.end is not None:
+                node.end = mapping[node.end]
         return reclaimed
 
     # ------------------------------------------------------------------
@@ -408,10 +421,11 @@ class LabeledDocument:
         image for ``ltree-compact`` (tombstones and free-list preserved
         exactly), as one such image *per shard* plus a manifest for
         ``ltree-sharded`` (reopened shard-lazily), or as the §4.2
-        label-only snapshot for ``ltree``; either way payloads are
-        *not* serialized — :meth:`open` re-derives them from the
-        columns, whose tokens match the live labels one-to-one.  The
-        same flip drops the XML text a format-1 save left behind.
+        label-only snapshot for ``ltree``.  The scheme carries no
+        payloads: :meth:`open` hands each token's handle back to its
+        node, because the columns' tokens match the live labels
+        one-to-one.  The same flip drops the XML text a format-1 save
+        left behind.
 
         No XML is rendered or parsed: the codec's export rule refuses,
         on the columns, every document whose XML export
@@ -474,30 +488,28 @@ class LabeledDocument:
 
         One pass over the stored kind column, zipped with the restored
         scheme's live handles (same order by construction), builds each
-        DOM node, gives it back the *exact* label it held at save time
-        and hands its handle the ``(kind, node)`` payload; nothing is
-        re-bulk-loaded or parsed, and future edits behave as if the
-        process had never stopped.  A format-1 store (XML text, written
-        before the token columns) is parsed once into the same columns
-        and opens through the same pass; the next :meth:`save` writes
-        format 2.
+        DOM node and stores its handles in the node's ``begin`` and
+        ``end`` slots, so the node gets back the *exact* label it held
+        at save time; nothing is re-bulk-loaded or parsed, and future
+        edits behave as if the process had never stopped.  A format-1
+        store (XML text, written before the token columns) is parsed
+        once into the same columns and opens through the same pass; the
+        next :meth:`save` writes format 2.
 
-        What a reopen costs, on the 68,938-element, 178,296-token
+        What a reopen costs, on the 68,938-element, 178,295-token
         ``query_serving`` benchmark document (``open(concurrent=True)``
         on a 2-vCPU VM, CPython 3.11, collector off): decoding and
-        checking the 1.6 MB column blob ~0.03 s; the scheme load
+        checking the 1.6 MB column blob ~0.04 s; the scheme load
         (shard-lazy for ``ltree-sharded``: only the manifest is
         decoded, and each shard's live leaves are derived from its
-        image's columns, one sort per shard) and ``handles()`` ~0.03 s;
-        the rebuild pass 0.14-0.18 s; one payload update per shard
-        ~0.02 s.  No label is computed.  With the collector on, in a
-        heap that already holds a labeled copy of the document, the
-        collector takes about two thirds of the reopen (0.51-0.56 s of
-        0.78-0.88 s): every token allocates tracked objects the API
-        keeps (a node, a :class:`~repro.labeling.codec.Handles`, a
-        payload tuple, and an element's child list), and each time the
-        heap grows by a quarter a full collection walks every live
-        object.
+        image's columns, one sort per shard) and ``handles()`` ~0.04 s;
+        the rebuild pass ~0.18 s.  No label is computed.  With the
+        collector on, in a heap that already holds a labeled copy of
+        the document, the collector takes about 60% of the reopen
+        (0.44-0.47 s of 0.72-0.78 s): the API keeps one tracked object
+        per token (a node per text, and per element a node and its
+        child list), and each time the heap grows by a quarter a full
+        collection walks every live object.
 
         ``store`` may be a file *path*: the document then owns the
         opened :class:`~repro.storage.pages.PageStore` (kept on
@@ -538,7 +550,6 @@ class LabeledDocument:
             if encoding == "compact-bytes":
                 scheme: OrderedLabeling = CompactListLabeling.load(
                     store, SCHEME_BLOB, stats=stats)
-                reattach = scheme.tree.set_payload
             elif encoding == "sharded-bytes":
                 # shard-lazy: only the manifest is decoded here, and the
                 # handles below come off each image's columns; an arena
@@ -550,9 +561,6 @@ class LabeledDocument:
                     bytes(store.get_blob(SCHEME_BLOB)).decode("utf-8"))
                 scheme = LTreeListLabeling._wrap(restore(data, stats=stats),
                                                  stats)
-
-                def reattach(handle: Any, payload: Any) -> None:
-                    handle.payload = payload
             else:
                 raise ParameterError(
                     f"unknown scheme encoding {encoding!r} in saved document")
@@ -560,13 +568,7 @@ class LabeledDocument:
                 raise ParameterError(
                     f"concurrent=True needs a document saved with the "
                     f"ltree-sharded scheme, this one used {encoding!r}")
-            handles = list(scheme.handles())
-            document, payloads = codec.build(columns, handles)
-            if encoding == "sharded-bytes":
-                scheme.tree.set_live_payloads(payloads)
-            else:
-                for handle, payload in zip(handles, payloads):
-                    reattach(handle, payload)
+            document = codec.build(columns, list(scheme.handles()))
             labeled = cls.__new__(cls)
             labeled.document = document
             labeled.scheme = scheme
@@ -610,10 +612,10 @@ class LabeledDocument:
         """
         self.scheme.validate()
         previous: Any = None
-        for kind, node in _emit_tokens(self.document.root):
-            handles = self._handles(node)
-            handle = handles.end if kind == END else handles.begin
-            label = self.scheme.label(handle)
+        kinds, nodes = _tokens(self.document.root)
+        for kind, node in zip(kinds, nodes):
+            label = self.scheme.label(node.end if kind == ")"
+                                      else self._begin(node))
             if previous is not None and not previous < label:
                 raise AssertionError(
                     f"labels out of document order: {previous!r} then "

@@ -21,12 +21,20 @@ from repro.xml import tokens as T
 class XMLNode:
     """Base class of document nodes; knows its parent."""
 
-    __slots__ = ("parent", "extra")
+    __slots__ = ("parent", "extra", "begin", "end")
 
     def __init__(self) -> None:
         self.parent: Optional["XMLElement"] = None
-        #: scratch slot for library layers (e.g. labels); not serialized
+        #: scratch slot for library layers (e.g. Dewey labels); not
+        #: serialized
         self.extra: Any = None
+        #: the labeling scheme's handle of this node's begin tag (or of
+        #: its single list position), set by the ``LabeledDocument``
+        #: that labels the node; ``None`` while unlabeled
+        self.begin: Any = None
+        #: the handle of an element's end tag; ``None`` on point nodes
+        #: (text, comment, PI) and while unlabeled
+        self.end: Any = None
 
     @property
     def is_element(self) -> bool:

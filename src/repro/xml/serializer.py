@@ -48,27 +48,33 @@ def serialize(item: Union[XMLDocument, XMLNode],
 
 
 def _render(node: XMLNode, pieces: list[str]) -> None:
-    if isinstance(node, XMLElement):
-        attributes = "".join(
-            f' {key}="{escape_attribute(value)}"'
-            for key, value in node.attributes.items())
-        if node.children:
-            pieces.append(f"<{node.tag}{attributes}>")
-            for child in node.children:
-                _render(child, pieces)
-            pieces.append(f"</{node.tag}>")
-        else:
-            pieces.append(f"<{node.tag}{attributes}/>")
-    elif isinstance(node, XMLTextNode):
-        pieces.append(escape_text(node.content))
-    elif isinstance(node, XMLCommentNode):
-        pieces.append(f"<!--{node.content}-->")
-    elif isinstance(node, XMLInstructionNode):
-        body = f"{node.target} {node.content}" if node.content \
-            else node.target
-        pieces.append(f"<?{body}?>")
-    else:  # pragma: no cover - model is closed
-        raise TypeError(f"unknown node type {type(node)!r}")
+    # an explicit stack (end tags wait on it as strings), so nesting
+    # depth is not bounded by Python's recursion limit
+    stack: list[Union[XMLNode, str]] = [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            pieces.append(item)
+        elif isinstance(item, XMLElement):
+            attributes = "".join(
+                f' {key}="{escape_attribute(value)}"'
+                for key, value in item.attributes.items())
+            if item.children:
+                pieces.append(f"<{item.tag}{attributes}>")
+                stack.append(f"</{item.tag}>")
+                stack.extend(reversed(item.children))
+            else:
+                pieces.append(f"<{item.tag}{attributes}/>")
+        elif isinstance(item, XMLTextNode):
+            pieces.append(escape_text(item.content))
+        elif isinstance(item, XMLCommentNode):
+            pieces.append(f"<!--{item.content}-->")
+        elif isinstance(item, XMLInstructionNode):
+            body = f"{item.target} {item.content}" if item.content \
+                else item.target
+            pieces.append(f"<?{body}?>")
+        else:  # pragma: no cover - model is closed
+            raise TypeError(f"unknown node type {type(item)!r}")
 
 
 def pretty(item: Union[XMLDocument, XMLNode], indent: str = "  ") -> str:

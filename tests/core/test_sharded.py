@@ -454,31 +454,6 @@ class TestLazySaveFidelity:
             third = ShardedCompactLTree.load(store, lazy=False)
             assert third.payload(target) == "rewritten while lazy"
 
-    def test_live_payloads_attach_in_document_order(self, tmp_path):
-        """set_live_payloads gives every live leaf its payload in one
-        call per shard: buffered on lazy shards, which stay lazy, and
-        written through on materialized ones; a miscount raises."""
-        tree, handles = _sharded(24, 3)
-        tree.mark_deleted(handles[9])
-        path = str(tmp_path / "live.ltp")
-        with PageStore(path) as store:
-            tree.save(store, include_payloads=False)
-            live = [f"n{i}" for i in range(23)]
-            for lazy in (True, False):
-                back = ShardedCompactLTree.load(store, lazy=lazy)
-                back.set_live_payloads(live)
-                assert back.payloads(include_deleted=False) == live
-                assert len(back.materialized_shards) == \
-                    (0 if lazy else back.shard_count)
-                with pytest.raises(ValueError, match="live leaves"):
-                    back.set_live_payloads(live[1:])
-            back = ShardedCompactLTree.load(store)
-            back.set_live_payloads(live)
-            anchor = next(back.iter_leaves(include_deleted=False))
-            back.insert_after(anchor, "woken")    # materializes a shard
-            assert back.payloads(include_deleted=False) == \
-                live[:1] + ["woken"] + live[1:]
-
     def test_lazy_save_honors_include_payloads(self, tmp_path):
         """Dropping payloads from a payload-carrying lazy image must
         re-serialize the arena, not copy the image flag and all."""

@@ -5,6 +5,7 @@ format-1 stores that hold XML text, column blobs that are truncated or
 inconsistent, and stores that hold no saved document at all.
 """
 
+import gc
 import json
 import random
 
@@ -12,7 +13,7 @@ import pytest
 
 from repro.core.params import LTreeParams
 from repro.errors import ParameterError
-from repro.labeling.scheme import LabeledDocument, _emit_tokens
+from repro.labeling.scheme import LabeledDocument, _tokens
 from repro.order.compact_list import CompactListLabeling
 from repro.order.ltree_list import LTreeListLabeling
 from repro.order.sharded_list import ShardedListLabeling
@@ -179,16 +180,18 @@ def _write_format1(labeled, path):
                         delete=["document.columns"])
 
 
-def _payload_kinds(labeled):
-    """``(kind, node)`` payloads in handle order, each checked to name
-    the node the document walk yields at that position."""
-    scheme = labeled.scheme
-    payloads = [scheme.payload(handle) for handle in scheme.handles()]
-    tokens = list(_emit_tokens(labeled.document.root))
-    assert len(payloads) == len(tokens)
-    assert all(got[0] == want[0] and got[1] is want[1]
-               for got, want in zip(payloads, tokens))
-    return [kind for kind, _node in payloads]
+def _token_kinds(labeled):
+    """The kinds of the document's tokens, each checked to hold the
+    scheme's live handle at that position in its node's ``begin`` slot
+    (an end tag: ``end`` slot), so handle order is token order."""
+    kinds, nodes = _tokens(labeled.document.root)
+    handles = list(labeled.scheme.handles())
+    assert len(handles) == len(nodes)
+    for kind, node, handle in zip(kinds, nodes, handles):
+        assert (node.end if kind == ")" else node.begin) == handle
+        if kind == ".":
+            assert node.end is None
+    return kinds
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMES))
@@ -207,7 +210,7 @@ class TestFormat1Store:
             assert serialize(reopened.document) == \
                 serialize(labeled.document)
             assert _model(reopened.document) == _model(labeled.document)
-            assert _payload_kinds(reopened) == _payload_kinds(labeled)
+            assert _token_kinds(reopened) == _token_kinds(labeled)
             if name == "ltree-sharded":
                 assert reopened.scheme.tree.materialized_shards == []
         reopened.validate()
@@ -283,7 +286,7 @@ def test_concurrent_open_materializes_nothing_and_saves_format2(
         assert tree.materialized_shards == []
         assert reopened.labels_in_order() == labeled.labels_in_order()
         assert serialize(reopened.document) == serialize(labeled.document)
-        assert _payload_kinds(reopened) == _payload_kinds(labeled)
+        assert _token_kinds(reopened) == _token_kinds(labeled)
         assert tree.materialized_shards == []
         reopened.append_subtree(reopened.document.root,
                                 parse("<late/>").root)
@@ -296,6 +299,30 @@ def test_concurrent_open_materializes_nothing_and_saves_format2(
         again = LabeledDocument.open(store)
     assert again.labels_in_order() == reopened.labels_in_order()
     assert _model(again.document) == _model(reopened.document)
+
+
+@pytest.mark.parametrize("name, concurrent", [("ltree-compact", False),
+                                              ("ltree-sharded", False),
+                                              ("ltree-sharded", True)])
+def test_open_tracks_one_object_per_token(tmp_path, name, concurrent):
+    """A reopen adds about one collector-tracked object per token: a
+    node per text or element, an element's child list, and nothing per
+    handle, so the collector's full passes stay proportionate."""
+    document = xmark_like(n_items=200, n_people=100, n_auctions=68, seed=1)
+    labeled = LabeledDocument(document, scheme=SCHEMES[name](PARAMS))
+    path = str(tmp_path / "doc.ltp")
+    labeled.save(path)
+    tokens = len(labeled.scheme)
+    assert tokens > 7000
+    gc.collect()
+    before = len(gc.get_objects())
+    reopened = LabeledDocument.open(path, concurrent=concurrent)
+    try:
+        gc.collect()
+        added = len(gc.get_objects()) - before
+    finally:
+        reopened.close()
+    assert added <= 1.1 * tokens, f"{added / tokens:.2f} per token"
 
 
 # ----------------------------------------------------------------------

@@ -275,8 +275,8 @@ class TestShardedDocumentRoundTrip:
         with PageStore(path) as store:
             reopened = LabeledDocument.open(store)
             tree = reopened.scheme.tree
-            # open() attached every handle and reattached payloads, yet
-            # no arena was deserialized
+            # open() attached every handle, yet no arena was
+            # deserialized
             assert tree.materialized_shards == []
             # label reads (predicates included) stay lazy
             assert reopened.labels_in_order() == labels_before
@@ -292,18 +292,6 @@ class TestShardedDocumentRoundTrip:
             reopened.insert_text(target, 0, "lazy wake")
             assert len(tree.materialized_shards) == 1
         reopened.validate()
-
-    def test_payloads_reattach_through_pending_buffer(self, tmp_path):
-        """scheme.payload() on a still-lazy shard serves the buffered
-        (kind, node) pair open() reattached."""
-        labeled, path = self._saved(tmp_path)
-        with PageStore(path) as store:
-            reopened = LabeledDocument.open(store)
-            scheme = reopened.scheme
-            handle = next(scheme.handles())
-            kind, node = scheme.payload(handle)
-            assert kind in ("begin", "end", "point")
-            assert node is reopened.document.root
 
 
 def test_save_rejects_non_ltree_schemes(tmp_path):
@@ -446,9 +434,8 @@ class TestConcurrentOpen:
             # region containment answered off the pinned images
             root = reopened.document.root
             child = next(iter(root.child_elements()))
-            assert snap.contains(
-                (root.extra.begin, root.extra.end),
-                (child.extra.begin, child.extra.end))
+            assert snap.contains((root.begin, root.end),
+                                 (child.begin, child.end))
         finally:
             reopened.close()
 
@@ -468,7 +455,7 @@ class TestConcurrentOpen:
             after = reopened.scheme.shard_versions()
             assert after == tree.snapshot().shard_versions()
             bumped = [sid for sid in after if after[sid] != before[sid]]
-            assert bumped == [child.extra.begin[0]]
+            assert bumped == [child.begin[0]]
         finally:
             reopened.close()
 
@@ -489,7 +476,7 @@ class TestConcurrentOpen:
                         reopened.document.root.children
                         if getattr(child, "children", None) is not None]
             first, last = children[0], children[-1]
-            assert first.extra.begin[0] != last.extra.begin[0]
+            assert first.begin[0] != last.begin[0]
             errors = []
 
             def hammer(anchor_handle, tag):
@@ -502,9 +489,9 @@ class TestConcurrentOpen:
 
             threads = [
                 threading.Thread(target=hammer,
-                                 args=(first.extra.begin, "f")),
+                                 args=(first.begin, "f")),
                 threading.Thread(target=hammer,
-                                 args=(last.extra.begin, "l"))]
+                                 args=(last.begin, "l"))]
             for thread in threads:
                 thread.start()
             for thread in threads:

@@ -107,11 +107,10 @@ class TestDefaultEngineAndLabelCache:
 
         def ground_truth_agrees():
             for element in document.iter_elements():
-                handles = element.extra
                 assert labeled.begin_label(element) == \
-                    labeled.scheme.label(handles.begin)
+                    labeled.scheme.label(element.begin)
                 assert labeled.end_label(element) == \
-                    labeled.scheme.label(handles.end)
+                    labeled.scheme.label(element.end)
 
         ground_truth_agrees()
         b = next(document.find_all("b"))
@@ -359,8 +358,8 @@ class TestShardedDocumentIsolation:
         target = next(
             element for element in document.iter_elements()
             if element.parent is not None and
-            element.extra.begin[0] == element.extra.end[0])
-        expected = target.extra.begin[0]
+            element.begin[0] == element.end[0])
+        expected = target.begin[0]
         labeled.append_subtree(target, parse("<x><y>z</y></x>").root)
         written = [rank for rank, (sink, base) in
                    enumerate(zip(counters, baselines))
@@ -393,12 +392,11 @@ class TestShardAlignedBulkLoad:
         document, labeled = self._labeled()
         for child in document.root.children:
             if isinstance(child, XMLElement):
-                handles = child.extra
-                assert handles.begin[0] == handles.end[0], child.tag
+                assert child.begin[0] == child.end[0], child.tag
 
     def test_toplevel_runs_are_contiguous_and_cover_all_shards(self):
         document, labeled = self._labeled(n_shards=4)
-        ranks = [child.extra.begin[0] for child in document.root.children]
+        ranks = [child.begin[0] for child in document.root.children]
         assert ranks == sorted(ranks)             # contiguous runs
         assert set(ranks) == set(range(labeled.scheme.tree.shard_count))
         labeled.validate()
@@ -409,7 +407,7 @@ class TestShardAlignedBulkLoad:
         children = [child for child in document.root.children
                     if isinstance(child, XMLElement)]
         first, last = children[0], children[-1]
-        assert first.extra.begin[0] != last.extra.begin[0]
+        assert first.begin[0] != last.begin[0]
         for target in (first, last):
             baselines = [sink.snapshot() for sink in counters]
             labeled.append_subtree(target, parse("<w>edit</w>").root)
@@ -417,16 +415,15 @@ class TestShardAlignedBulkLoad:
                        enumerate(zip(counters, baselines))
                        if any(getattr(sink - base, field)
                               for field in self.WRITE_FIELDS)]
-            assert written == [target.extra.begin[0]]
+            assert written == [target.begin[0]]
         labeled.validate()
 
     def test_shard_boundaries_helper_balances_token_weight(self):
-        from repro.labeling.scheme import (_emit_tokens,
-                                           shard_boundaries)
+        from repro.labeling.scheme import _tokens, shard_boundaries
 
         document = xmark_like(n_items=20, n_people=12, n_auctions=8,
                               seed=3)
-        total = sum(1 for _ in _emit_tokens(document.root))
+        total = len(_tokens(document.root)[1])
         sizes = shard_boundaries(document.root, 4)
         assert sum(sizes) == total
         assert all(size >= 1 for size in sizes)

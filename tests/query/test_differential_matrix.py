@@ -67,9 +67,13 @@ def test_snapshot_columnar_under_writers_matches_pre_pin(tmp_path, seed):
     store = ColumnarStore.from_snapshot(reopened, tree.snapshot())
     tokens_at_pin = len(list(tree.iter_leaves(include_deleted=False)))
     stop = threading.Event()
+    # set once each writer has inserted: the reader starts after both,
+    # so a writer that starts late (a full collection in its thread)
+    # cannot finish the test before the engine moved
+    inserted = [threading.Event() for _ in range(2)]
     errors = []
 
-    def writer(writer_seed):
+    def writer(writer_seed, first_insert):
         rng = random.Random(writer_seed)
         handles = list(tree.iter_leaves(include_deleted=False))
         try:
@@ -77,14 +81,20 @@ def test_snapshot_columnar_under_writers_matches_pre_pin(tmp_path, seed):
                 anchor = handles[rng.randrange(len(handles))]
                 handles.append(tree.insert_after(
                     anchor, ("writer", writer_seed)))
+                first_insert.set()
         except BaseException as exc:  # surfaced by the main thread
             errors.append(exc)
+        finally:
+            first_insert.set()
 
-    threads = [threading.Thread(target=writer, args=(seed * 10 + i,))
+    threads = [threading.Thread(target=writer,
+                                args=(seed * 10 + i, inserted[i]))
                for i in range(2)]
     for thread in threads:
         thread.start()
     try:
+        for event in inserted:
+            assert event.wait(60), "a writer never inserted"
         for _ in range(4):
             for query, truth in zip(queries, expected):
                 assert _ids(evaluate_columnar(store, query)) == truth, \

@@ -100,7 +100,7 @@ class TestLabelingFamiliesAgree:
     def test_region_and_dewey_agree_on_axes(self):
         document = xmark_like(8, 4, 3, seed=58)
         region = LabeledDocument(document)
-        # Dewey labels live on node.extra too, so re-parse a twin
+        # the Dewey labeling gets a re-parsed twin of the document
         twin = parse(serialize(document))
         dewey = DeweyDocument(twin)
         region_elements = list(document.iter_elements())

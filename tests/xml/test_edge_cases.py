@@ -1,11 +1,10 @@
 """XML substrate edge cases: unicode, depth, pathological shapes."""
 
-import sys
-
 import pytest
 
 from repro.errors import XMLSyntaxError
 from repro.labeling import LabeledDocument
+from repro.order import make_scheme
 from repro.xml import parse, serialize, tokenize
 from repro.xml.generator import deep_document
 
@@ -34,6 +33,9 @@ class TestUnicode:
 
 
 class TestDepth:
+    DEPTH = 3000
+    SCHEMES = ("ltree-compact", "ltree-sharded")
+
     def test_parse_deep_document_iteratively(self):
         """The tokenizer is iterative; deep nesting must not recurse."""
         depth = 3000
@@ -43,16 +45,34 @@ class TestDepth:
         assert count == depth
 
     def test_label_deep_document(self):
-        document = deep_document(500)
-        labeled = LabeledDocument(document)
-        labeled.validate()
-        bottom = next(document.find_all("level499"))
-        assert labeled.is_ancestor(document.root, bottom)
+        """Labeling walks the token list with its own stack."""
+        for name in self.SCHEMES:
+            document = deep_document(self.DEPTH)
+            labeled = LabeledDocument(document, scheme=make_scheme(name))
+            labeled.validate()
+            bottom = next(document.find_all(f"level{self.DEPTH - 1}"))
+            assert labeled.is_ancestor(document.root, bottom), name
 
     def test_serialize_deep_document(self):
-        document = deep_document(800)
-        text = serialize(document)
-        assert text.count("<level") == 800
+        text = serialize(deep_document(self.DEPTH))
+        assert text.count("<level") == self.DEPTH
+        assert parse(text).count_elements() == self.DEPTH
+
+    def test_deep_document_save_open_round_trip(self, tmp_path):
+        for name in self.SCHEMES:
+            labeled = LabeledDocument(deep_document(self.DEPTH),
+                                      scheme=make_scheme(name))
+            path = str(tmp_path / f"{name}.ltp")
+            labeled.save(path)
+            reopened = LabeledDocument.open(path)
+            try:
+                reopened.validate()
+                assert reopened.labels_in_order() == \
+                    labeled.labels_in_order(), name
+                assert serialize(reopened.document) == \
+                    serialize(labeled.document), name
+            finally:
+                reopened.close()
 
 
 class TestPathologicalInput:
