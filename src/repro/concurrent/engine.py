@@ -761,12 +761,11 @@ class ConcurrentLTree:
 
     def save(self, store: Any, name: str = "scheme",
              include_payloads: bool = True,
-             extra_blobs: Optional[dict[str, bytes]] = None,
-             delete: Sequence[str] = ()) -> None:
+             extra_blobs: Optional[dict[str, bytes]] = None) -> None:
         with self._locked():
             self._engine.save(store, name,
                               include_payloads=include_payloads,
-                              extra_blobs=extra_blobs, delete=delete)
+                              extra_blobs=extra_blobs)
 
     @classmethod
     def load(cls, store: Any, name: str = "scheme",

@@ -33,7 +33,7 @@ struct-of-arrays byte image (``LTREEARR``, version 1) written by
 :meth:`repro.core.compact.CompactLTree.to_bytes`, which additionally
 preserves the exact slot arena and free-list; see that module and
 :mod:`repro.storage.pages` for the page-file framing (``LTPAGES``,
-version 1).  The two formats are interchangeable for labels: a tree saved
+version 2).  The two formats are interchangeable for labels: a tree saved
 in either reopens from the other with a byte-identical label sequence.
 
 Round-trip identity is property-tested in

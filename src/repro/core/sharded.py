@@ -109,14 +109,10 @@ from repro.errors import InvariantViolation, ParameterError
 #: shard count the registry's ``ltree-sharded`` scheme uses
 DEFAULT_N_SHARDS = 8
 
-#: on-store format version of the sharded manifest blob.  Version 2
-#: added the id-based directory: per-entry shard ids, the epoch, the
-#: forwarding table and the next unused id.  Version 3 dropped the
-#: per-shard live-leaf sidecars (live leaves derive from the image) and
-#: moved the forwarding table from a JSON list of moves into one binary
-#: blob of per-retired-id columns.  Version-1 manifests load with ids
-#: equal to their ranks (the layouts coincide before the first
-#: split/merge); version-1/2 forwarding lists are converted on load.
+#: on-store format version of the sharded manifest blob, the only one
+#: :meth:`ShardedCompactLTree.load` reads: an id-based directory (per-
+#: entry shard ids and image CRCs, the epoch, the next unused id) and
+#: the forwarding table as one binary blob of per-retired-id columns
 MANIFEST_FORMAT_VERSION = 3
 
 #: ``kind`` tag of the manifest (a JSON blob, not an LTREEARR image)
@@ -385,39 +381,6 @@ def _load_forwarding(store: Any, spec: Optional[dict]) -> dict:
         raise ParameterError(
             f"forwarding blob {spec['blob']!r} holds {len(raw)} bytes, "
             f"its manifest entries describe {offset}")
-    return table
-
-
-def _forwarding_from_moves(moves: Sequence[Sequence[int]]) -> dict:
-    """Convert a format-1/2 forwarding list — one ``[old id, old slot,
-    new id, new slot]`` row per moved leaf — to :func:`forward` entries.
-
-    A retired id moved its leaves into at most two arenas, each a bulk
-    load whose slots count up from 0.  Either arena can play ``low``:
-    its slots keep their values as ranks and ``cut`` is one past the
-    largest; the other arena's slots are stored offset by ``cut``.
-    """
-    by_id: dict[int, dict[int, dict[int, int]]] = {}
-    for old_id, old_slot, new_id, new_slot in moves:
-        by_id.setdefault(old_id, {}).setdefault(new_id, {})[old_slot] = \
-            new_slot
-    table = {}
-    for old_id, targets in by_id.items():
-        if len(targets) > 2:
-            raise ParameterError(
-                f"forwarding list moves shard {old_id} into "
-                f"{len(targets)} arenas; a split or merge makes at "
-                f"most two")
-        (low, low_moves), *rest = targets.items()
-        high, high_moves = rest[0] if rest else (low, {})
-        cut = max(low_moves.values()) + 1
-        ranks = array("q", [-1]) * (1 + max(max(slots) for slots
-                                            in targets.values()))
-        for old_slot, new_slot in low_moves.items():
-            ranks[old_slot] = new_slot
-        for old_slot, new_slot in high_moves.items():
-            ranks[old_slot] = cut + new_slot
-        table[old_id] = (ranks, cut, low, high)
     return table
 
 
@@ -1262,8 +1225,7 @@ class ShardedCompactLTree:
     # ------------------------------------------------------------------
     def save(self, store: Any, name: str = "scheme",
              include_payloads: bool = True,
-             extra_blobs: Optional[dict[str, bytes]] = None,
-             delete: Sequence[str] = ()) -> None:
+             extra_blobs: Optional[dict[str, bytes]] = None) -> None:
         """Persist every arena as its own blob span plus a manifest.
 
         Blob layout under ``name``: ``{name}.s{id}`` holds shard
@@ -1297,9 +1259,7 @@ class ShardedCompactLTree:
         ``extra_blobs`` ride along inside the *same* atomic catalog
         flip (a ``ConcurrentDocument`` checkpoint stores its WAL
         watermark this way, so "engine state saved" and "checkpoint
-        sequence recorded" can never be observed apart).  Cataloged
-        blobs named in ``delete`` are dropped with the stale ones (a
-        document format upgrade drops its old text blob this way).
+        sequence recorded" can never be observed apart).
         """
         d = self._dir
         entries = []
@@ -1364,16 +1324,13 @@ class ShardedCompactLTree:
         manifest_raw = json.dumps(manifest).encode("utf-8")
         # every blob of this layout the save does not write is stale —
         # arenas of retired ids (a split/merge, or a re-bulk_load that
-        # shrinks the shard count), an emptied forwarding table, the
-        # live-leaf sidecars of a format-1/2 store — and left cataloged
-        # its span would leak past every vacuum.  The catalog is scanned
-        # rather than probed id by id: retired ids leave *gaps* in the
-        # id sequence
-        owned = re.compile(
-            re.escape(name) + r"\.(s[0-9]+(\.leaves)?|forwarding)")
+        # shrinks the shard count), an emptied forwarding table — and
+        # left cataloged its span would leak past every vacuum.  The
+        # catalog is scanned rather than probed id by id: retired ids
+        # leave *gaps* in the id sequence
+        owned = re.compile(re.escape(name) + r"\.(s[0-9]+|forwarding)")
         stale = [blob_name for blob_name in store.blobs()
-                 if blob_name not in puts and
-                 (owned.fullmatch(blob_name) or blob_name in delete)]
+                 if blob_name not in puts and owned.fullmatch(blob_name)]
         if extra_blobs:
             overlap = set(extra_blobs) & (set(puts) | {name})
             if overlap:
@@ -1400,10 +1357,8 @@ class ShardedCompactLTree:
         fast path when the store offers it), checked against its
         manifest CRC, and deserialized on first write — see the module
         docstring.  ``lazy=False`` materializes everything immediately.
-        Format-1 manifests (the pre-directory layout) load with ids
-        equal to their ranks; format-1/2 stores open too, their
-        live-leaf sidecars left unread (the next save drops them) and
-        their JSON forwarding lists converted to columns.
+        A manifest of any format but :data:`MANIFEST_FORMAT_VERSION`
+        raises :class:`ParameterError` naming its format.
         """
         manifest = json.loads(bytes(store.get_blob(name)).decode("utf-8"))
         if manifest.get("kind") != MANIFEST_KIND:
@@ -1411,10 +1366,10 @@ class ShardedCompactLTree:
                 f"blob {name!r} is not a sharded-ltree manifest "
                 f"(kind={manifest.get('kind')!r})")
         version = manifest.get("format")
-        if version not in (1, 2, MANIFEST_FORMAT_VERSION):
+        if version != MANIFEST_FORMAT_VERSION:
             raise ParameterError(
                 f"unsupported sharded manifest format {version!r} "
-                f"(supported: 1, 2, {MANIFEST_FORMAT_VERSION})")
+                f"(supported: {MANIFEST_FORMAT_VERSION})")
         params = LTreeParams(f=manifest["f"], s=manifest["s"],
                              label_base=manifest["label_base"])
         tree = cls.__new__(cls)
@@ -1423,13 +1378,13 @@ class ShardedCompactLTree:
         tree.violator_policy = manifest["violator_policy"]
         tree.n_shards = manifest["n_shards"]
         tree._track_shards = bool(shard_stats)
-        tree.directory_rebuilds = manifest.get("directory_rebuilds", 0)
-        tree.shard_splits = manifest.get("shard_splits", 0)
-        tree.shard_merges = manifest.get("shard_merges", 0)
+        tree.directory_rebuilds = manifest["directory_rebuilds"]
+        tree.shard_splits = manifest["shard_splits"]
+        tree.shard_merges = manifest["shard_merges"]
         ids: list[int] = []
         shards: dict[int, _Shard] = {}
-        for rank, entry in enumerate(manifest["shards"]):
-            sid = entry.get("id", rank)
+        for entry in manifest["shards"]:
+            sid = entry["id"]
             sink = Counters() if shard_stats else stats
             image = store.get_blob(entry["blob"],
                                    prefer_mmap=prefer_mmap)
@@ -1437,9 +1392,7 @@ class ShardedCompactLTree:
             # disk can flip bits in one or lose its pages to a power
             # loss; the manifest's CRC makes that a loud load failure
             # instead of a quietly corrupt arena
-            expected_crc = entry.get("checksum")
-            if expected_crc is not None and \
-                    zlib.crc32(image) != expected_crc:
+            if zlib.crc32(image) != entry["checksum"]:
                 raise ParameterError(
                     f"shard image {entry['blob']!r} fails its manifest "
                     f"checksum (torn by a crash mid-save?)")
@@ -1462,16 +1415,9 @@ class ShardedCompactLTree:
         if len(shards) != len(ids):
             raise ParameterError(
                 f"manifest {name!r} repeats shard ids")
-        if version == MANIFEST_FORMAT_VERSION:
-            tree._forwarding = _load_forwarding(store,
-                                                manifest["forwarding"])
-        else:
-            tree._forwarding = _forwarding_from_moves(
-                manifest.get("forwarding", ()))
-        tree._next_shard_id = manifest.get("next_shard_id",
-                                           max(ids) + 1)
-        tree._dir = _Directory(manifest.get("epoch", 0), ids, shards,
-                               params.base,
+        tree._forwarding = _load_forwarding(store, manifest["forwarding"])
+        tree._next_shard_id = manifest["next_shard_id"]
+        tree._dir = _Directory(manifest["epoch"], ids, shards, params.base,
                                height=manifest["directory_height"])
         return tree
 

@@ -41,7 +41,7 @@ from typing import Any, Optional, Sequence
 from repro.errors import ParameterError
 from repro.xml.model import (XMLCommentNode, XMLDocument, XMLElement,
                              XMLInstructionNode, XMLNode, XMLTextNode)
-from repro.xml.parser import is_name, parse
+from repro.xml.parser import is_name
 
 #: the column names of a format-2 blob
 _COLUMNS = ("kinds", "prolog", "epilog", "names", "tags",
@@ -177,11 +177,6 @@ def decode(data: bytes) -> dict:
     return columns
 
 
-def decode_xml(data: bytes) -> dict:
-    """The columns of a format-1 store's XML text (one parse)."""
-    return _columns_of(parse(bytes(data).decode("utf-8")))
-
-
 def _all(values: Any, kind: type) -> bool:
     return isinstance(values, list) and set(map(type, values)) <= {kind}
 
@@ -242,9 +237,9 @@ def build(columns: dict, handles: Sequence[Any]) -> XMLDocument:
     the node's ``begin`` slot, or an end tag's in its element's
     ``end`` slot.  Attributes then attach through the pass's one
     per-token list of nodes.  The columns must come from
-    :func:`decode` or :func:`decode_xml`; raises
-    :class:`ParameterError` when they do not describe one root element
-    or their token count is not the number of handles.
+    :func:`decode`; raises :class:`ParameterError` when they do not
+    describe one root element or their token count is not the number
+    of handles.
     """
     kinds = columns["kinds"]
     if len(kinds) != len(handles):

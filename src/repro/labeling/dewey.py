@@ -50,11 +50,16 @@ class DeweyDocument:
         self._label_subtree(document.root, ())
 
     def _label_subtree(self, node: XMLNode, path: tuple[int, ...]) -> None:
-        node.extra = _DeweyLabel(path)
-        self.stats.relabels += 1
-        if isinstance(node, XMLElement):
-            for ordinal, child in enumerate(node.children):
-                self._label_subtree(child, path + (ordinal,))
+        # an explicit stack, so nesting depth is not bounded by Python's
+        # recursion limit
+        stack = [(node, path)]
+        while stack:
+            node, path = stack.pop()
+            node.extra = _DeweyLabel(path)
+            self.stats.relabels += 1
+            if isinstance(node, XMLElement):
+                stack.extend((child, path + (ordinal,))
+                             for ordinal, child in enumerate(node.children))
 
     # ------------------------------------------------------------------
     # label access and predicates
@@ -149,10 +154,9 @@ class DeweyDocument:
 
 
 def _iter_nodes(node: XMLNode) -> Iterator[XMLNode]:
-    yield node
     if isinstance(node, XMLElement):
-        for child in node.children:
-            yield from _iter_nodes(child)
+        return node.iter_nodes()
+    return iter((node,))
 
 
 def _count_nodes(node: XMLNode) -> Iterator[XMLNode]:

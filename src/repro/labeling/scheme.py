@@ -35,11 +35,9 @@ snapshot's label columns.
 itself as columns in list order (:mod:`repro.labeling.codec`) next to
 the scheme's label state, and :meth:`LabeledDocument.open` rebuilds
 the DOM in one pass over those columns zipped with the restored
-scheme's handles: no XML is rendered on save or parsed on open (but
-for a format-1 store, whose XML text is parsed once into the same
-columns).  XML text is an export
-(:func:`repro.xml.serializer.serialize`), and a save refuses every
-document that export would not carry.
+scheme's handles: no XML is rendered on save or parsed on open.  XML
+text is an export (:func:`repro.xml.serializer.serialize`), and a save
+refuses every document that export would not carry.
 """
 
 from __future__ import annotations
@@ -63,14 +61,13 @@ from repro.order.registry import default_scheme
 from repro.order.sharded_list import ShardedListLabeling
 from repro.xml.model import XMLDocument, XMLElement, XMLNode, XMLTextNode
 
-#: on-store format version of a saved LabeledDocument (see ``save``);
-#: ``open`` also reads format 1, which stored the document as XML text
+#: on-store format version of a saved LabeledDocument (see ``save``),
+#: the only one ``open`` reads
 DOCUMENT_FORMAT_VERSION = 2
 
 #: blob names a saved document occupies inside a page store
 META_BLOB = "meta"
 COLUMNS_BLOB = "document.columns"
-XML_BLOB = "document.xml"       # format 1 only
 SCHEME_BLOB = "scheme"
 
 
@@ -424,8 +421,7 @@ class LabeledDocument:
         label-only snapshot for ``ltree``.  The scheme carries no
         payloads: :meth:`open` hands each token's handle back to its
         node, because the columns' tokens match the live labels
-        one-to-one.  The same flip drops the XML text a format-1 save
-        left behind.
+        one-to-one.
 
         No XML is rendered or parsed: the codec's export rule refuses,
         on the columns, every document whose XML export
@@ -476,9 +472,9 @@ class LabeledDocument:
             # engine's own batch; shards still lazy from an earlier
             # open() are copied image-for-image without deserializing
             scheme.tree.save(store, SCHEME_BLOB, include_payloads=False,
-                             extra_blobs=blobs, delete=(XML_BLOB,))
+                             extra_blobs=blobs)
         else:
-            store.put_blobs(blobs, delete=(XML_BLOB,))
+            store.put_blobs(blobs)
 
     @classmethod
     def open(cls, store: Any, stats: Counters = NULL_COUNTERS,
@@ -491,10 +487,7 @@ class LabeledDocument:
         DOM node and stores its handles in the node's ``begin`` and
         ``end`` slots, so the node gets back the *exact* label it held
         at save time; nothing is re-bulk-loaded or parsed, and future
-        edits behave as if the process had never stopped.  A format-1
-        store (XML text, written before the token columns) is parsed
-        once into the same columns and opens through the same pass; the
-        next :meth:`save` writes format 2.
+        edits behave as if the process had never stopped.
 
         What a reopen costs, on the 68,938-element, 178,295-token
         ``query_serving`` benchmark document (``open(concurrent=True)``
@@ -516,8 +509,9 @@ class LabeledDocument:
         :attr:`store`, so a bare ``save()`` re-saves in place and
         :meth:`close` releases it), created with the ``sync``
         discipline asked for.  A store that holds no saved document, a
-        damaged ``meta`` record and a column blob that is truncated or
-        inconsistent raise :class:`ParameterError`.
+        damaged ``meta`` record, a document format other than
+        :data:`DOCUMENT_FORMAT_VERSION` and a column blob that is
+        truncated or inconsistent raise :class:`ParameterError`.
 
         ``concurrent=True`` (documents saved with the ``ltree-sharded``
         scheme only) wraps the restored engine in
@@ -538,14 +532,11 @@ class LabeledDocument:
         try:
             meta = _read_meta(store)
             version = meta.get("format")
-            if version == DOCUMENT_FORMAT_VERSION:
-                columns = codec.decode(store.get_blob(COLUMNS_BLOB))
-            elif version == 1:
-                columns = codec.decode_xml(store.get_blob(XML_BLOB))
-            else:
+            if version != DOCUMENT_FORMAT_VERSION:
                 raise ParameterError(
                     f"unsupported document format {version!r} "
-                    f"(supported: 1, {DOCUMENT_FORMAT_VERSION})")
+                    f"(supported: {DOCUMENT_FORMAT_VERSION})")
+            columns = codec.decode(store.get_blob(COLUMNS_BLOB))
             encoding = meta.get("encoding")
             if encoding == "compact-bytes":
                 scheme: OrderedLabeling = CompactListLabeling.load(

@@ -40,11 +40,6 @@ catalog.  The space cost: until :meth:`vacuum` slides every live span
 down and truncates the file, the file also holds the pages the
 previous flip freed (later puts reuse them as gaps).
 
-Files written by the version-1 layout (one mutable header page, data
-from page 1) are still accepted: opening one rewrites it in the
-version-2 layout via a sibling temp file and an atomic rename, so the
-upgrade itself cannot corrupt the original.
-
 The pool counts hits and misses (:attr:`pool_hits` / :attr:`pool_misses`)
 so experiments can check the :class:`repro.storage.pager.PageModel`
 ``cache_hit_rate`` they assume against what a real pool delivers.
@@ -67,19 +62,13 @@ from repro.storage.faults import FAILPOINTS, failpoint, fsync_file
 
 #: magic prefix of a page file (page 0, bytes 0..8)
 PAGE_MAGIC = b"LTPAGES\x00"
-#: page-file format version (bump on layout changes); version 2 added
-#: the crash-consistent superblock + double-slot catalog layout.
-#: Version-1 files are upgraded in place on open (see
-#: :meth:`PageStore._upgrade_from_v1`).
+#: page-file format version (bump on layout changes); version 2 is the
+#: crash-consistent superblock + double-slot catalog layout, and the
+#: only one :class:`PageStore` opens — any other version is refused
 PAGE_FORMAT_VERSION = 2
 
 #: the immutable superblock (page 0): magic, version, page_size
 _SUPERBLOCK = struct.Struct("<8sII")
-
-#: the legacy version-1 header (page 0, mutable): magic, version,
-#: page_size, page_count, catalog byte length — catalog JSON follows
-#: inline; data pages started at page 1
-_V1_HEADER = struct.Struct("<8sIIQI")
 
 #: fixed part of a catalog slot (pages 1 and 2): page_count, sequence
 #: number, catalog byte length, CRC32 of the slot minus this field
@@ -116,7 +105,7 @@ DEFAULT_POOL_PAGES = 16
 #: sibling temp-file suffixes this store's temp+rename recipes use; a
 #: leftover (from a crash between temp write and rename) is removed on
 #: open — the original file is always the authoritative one
-TEMP_SUFFIXES = (".vacuum", ".upgrade")
+TEMP_SUFFIXES = (".vacuum",)
 
 # the enumerable crash surface of this module (see repro.storage.faults)
 FAILPOINTS.declare("pagestore:create:post-superblock",
@@ -143,10 +132,6 @@ FAILPOINTS.declare("pagestore:vacuum:pre-replace",
                    "replacement complete, rename not yet issued")
 FAILPOINTS.declare("pagestore:vacuum:post-replace",
                    "rename done, store not yet reopened")
-FAILPOINTS.declare("pagestore:upgrade:pre-replace",
-                   "v2 rebuild complete, rename not yet issued")
-FAILPOINTS.declare("pagestore:upgrade:post-replace",
-                   "rename done, upgraded store not yet reopened")
 
 
 class PageStore:
@@ -214,8 +199,6 @@ class PageStore:
         self._file = open(self.path, "r+b" if exists else "w+b")
         try:
             if exists:
-                if self._peek_version() == 1:
-                    self._upgrade_from_v1()
                 (self.page_size, self.page_count, self._seq,
                  self._catalog) = self._read_header()
                 if page_size is not None and \
@@ -252,79 +235,6 @@ class PageStore:
     # ------------------------------------------------------------------
     # header pages (superblock + alternating catalog slots)
     # ------------------------------------------------------------------
-    def _peek_version(self) -> int:
-        """Magic-check the file and return its format version.
-
-        Both layouts open with the same ``(magic, version, page_size)``
-        prefix, so the version can be read before deciding how to parse
-        the rest of the header.
-        """
-        self._file.seek(0)
-        raw = self._file.read(_SUPERBLOCK.size)
-        if len(raw) < _SUPERBLOCK.size:
-            raise CorruptionError(f"{self.path!r}: truncated superblock")
-        magic, version, _ = _SUPERBLOCK.unpack(raw)
-        if magic != PAGE_MAGIC:
-            raise CorruptionError(
-                f"{self.path!r}: bad magic {magic!r}; not a page file")
-        if version not in (1, PAGE_FORMAT_VERSION):
-            raise StorageError(
-                f"{self.path!r}: unsupported page-file version {version} "
-                f"(supported: 1 (upgraded on open), "
-                f"{PAGE_FORMAT_VERSION})")
-        return version
-
-    def _upgrade_from_v1(self) -> None:
-        """Rewrite a version-1 file in the version-2 layout, in place.
-
-        Version 1 kept one mutable header page — magic, version,
-        page_size, page_count, catalog length, catalog JSON inline —
-        with data from page 1.  Every blob is read through that layout,
-        re-packed into a fresh version-2 store at a sibling temp path,
-        and the result atomically renamed over the original (the vacuum
-        recipe), so a crash mid-upgrade leaves the v1 file intact and
-        the next open simply retries.
-        """
-        self._file.seek(0)
-        raw = self._file.read(_V1_HEADER.size)
-        if len(raw) < _V1_HEADER.size:
-            raise CorruptionError(f"{self.path!r}: truncated v1 header")
-        _, _, page_size, _, catalog_len = _V1_HEADER.unpack(raw)
-        catalog_raw = self._file.read(catalog_len)
-        if len(catalog_raw) < catalog_len:
-            raise CorruptionError(f"{self.path!r}: truncated v1 catalog")
-        catalog = json.loads(catalog_raw.decode("utf-8")) \
-            if catalog_raw else {}
-        live: dict[str, bytes] = {}
-        for name, span in catalog.items():
-            self._file.seek(span[0] * page_size)
-            data = self._file.read(span[1])
-            if len(data) < span[1]:
-                raise CorruptionError(
-                    f"{self.path!r}: v1 blob truncated", blob=name,
-                    offset=span[0] * page_size)
-            live[name] = data
-        temp_path = self.path + ".upgrade"
-        if os.path.exists(temp_path):
-            # leftover from an upgrade that crashed before its rename;
-            # the v1 file is still authoritative, start over
-            os.unlink(temp_path)
-        replacement = PageStore(temp_path, page_size=page_size,
-                                pool_pages=self.pool_pages)
-        try:
-            replacement.put_blobs(live)
-            fsync_file(replacement._file)
-        except BaseException:
-            replacement.close()
-            os.unlink(temp_path)
-            raise
-        replacement.close()
-        self._file.close()
-        failpoint("pagestore:upgrade:pre-replace", store=self)
-        os.replace(temp_path, self.path)
-        failpoint("pagestore:upgrade:post-replace", store=self)
-        self._file = open(self.path, "r+b")
-
     def _read_header(self) -> tuple[int, int, int, dict[str, list[int]]]:
         self._file.seek(0)
         raw = self._file.read(_SUPERBLOCK.size)
@@ -643,8 +553,9 @@ class PageStore:
         detector for span bytes that changed, or never reached the
         disk, after their flip: a bit flip, or a power loss without
         ``sync=True`` that persisted the flip ahead of its data pages.
-        Blobs written before CRCs existed in the catalog are passed
-        through unchecked.
+        A span without a CRC — written before catalogs carried them, or
+        by a catalog that had to drop them to fit its slot (see
+        :func:`_serialize_catalog`) — is passed through unchecked.
         """
         span = self._catalog.get(name)
         if span is None:

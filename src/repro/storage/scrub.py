@@ -193,9 +193,7 @@ class StoreScrubber:
         busy: list[tuple[int, int, str]] = []
         for name in sorted(store._catalog):
             span = store._catalog[name]
-            first, length = span[0], span[1]
-            allocated = span[2] if len(span) > 2 else \
-                store._pages_for(length)
+            first, length, allocated = span[0], span[1], span[2]
             report.blobs_checked += 1
             if first < RESERVED_PAGES or first + allocated > file_pages \
                     or length > allocated * store.page_size:

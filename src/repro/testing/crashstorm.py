@@ -16,7 +16,7 @@ recovery invariants:
   (open, fingerprint, close, repeat) yields bit-identical
   fingerprints: recovery must not mutate what it recovers beyond the
   documented open-time hygiene;
-* **no debris** — no leftover ``.vacuum``/``.upgrade``/``.truncate``
+* **no debris** — no leftover ``.vacuum``/``.truncate``
   temp files survive a reopen, and the storm itself leaks no file
   descriptors across an arm-crash-recover cycle;
 * **structural health** — the recovered tree passes ``validate()`` and
@@ -29,13 +29,11 @@ system and a throwaway in-memory twin, and (crucially) a *subprocess*
 storm worker can regenerate the oracle from the seed alone after the
 parent killed it with ``os._exit`` (see :mod:`repro.testing.storm_worker`).
 
-Four scenarios cover the surface; each declared failpoint is assigned
+Three scenarios cover the surface; each declared failpoint is assigned
 to the first scenario whose unarmed probe run hits it:
 
 * ``store`` — raw :class:`PageStore` churn: puts (single and batched),
   deletes, vacuums, reopens;
-* ``upgrade`` — opening a v1-format file (the upgrade temp+rename
-  recipe);
 * ``service`` — a :class:`ConcurrentDocument` under ``sync=True,
   group_commit=1``: inserts, run-inserts, deletes, payload updates,
   checkpoints, an online split, merge, and a policy rebalance;
@@ -48,7 +46,6 @@ from __future__ import annotations
 
 import json
 import os
-import struct
 import tempfile
 import zlib
 from dataclasses import dataclass, field
@@ -58,7 +55,7 @@ from repro.core.params import LTreeParams
 from repro.core.sharded import RebalancePolicy, ShardedCompactLTree
 from repro.errors import RecoveryError, StorageError
 from repro.storage.faults import FAILPOINTS, SimulatedCrash, torn_write
-from repro.storage.pages import PAGE_MAGIC, PageStore
+from repro.storage.pages import PageStore
 
 #: deterministic workload RNG (kept private to the module so a seed
 #: means the same script everywhere, including inside a storm worker)
@@ -66,10 +63,10 @@ import random
 
 PARAMS = LTreeParams(f=8, s=2)
 
-SCENARIOS = ("store", "upgrade", "service", "recovery")
+SCENARIOS = ("store", "service", "recovery")
 
 #: temp-file suffixes no recovered directory may retain
-DEBRIS_SUFFIXES = (".vacuum", ".upgrade", ".truncate")
+DEBRIS_SUFFIXES = (".vacuum", ".truncate")
 
 
 # ----------------------------------------------------------------------
@@ -266,76 +263,6 @@ class _StoreScenario:
             state = {name: bytes(store.get_blob(name, verify=True))
                      for name in store.blobs()}
         return self._fingerprint_dict(state)
-
-    def recover_failed(self, workdir: str, completed: int,
-                       exc: BaseException) -> Optional[str]:
-        return f"reopen failed after {completed} steps: {exc!r}"
-
-
-class _UpgradeScenario:
-    """Open a v1-format file: the upgrade temp+rename recipe."""
-
-    name = "upgrade"
-    PAGE_SIZE = 128
-
-    def build_steps(self, seed: int) -> list[tuple]:
-        rng = random.Random(seed * 6007 + 2)
-        blobs = {f"v1.{i}": bytes([65 + i]) * rng.randrange(1, 400)
-                 for i in range(4)}
-        return [("seed-v1", blobs), ("upgrade-open",), ("upgrade-open",)]
-
-    def oracle(self, steps: list[tuple]) -> list[str]:
-        fp = _StoreScenario._fingerprint_dict(steps[0][1])
-        return [_StoreScenario._fingerprint_dict({})] + \
-            [fp] * len(steps)
-
-    def _path(self, workdir: str) -> str:
-        return os.path.join(workdir, "store.ltp")
-
-    def _write_v1(self, path: str, blobs: dict[str, bytes]) -> None:
-        catalog = {}
-        spans = []
-        first = 1
-        for name, data in blobs.items():
-            pages = max(1, -(-len(data) // self.PAGE_SIZE))
-            catalog[name] = [first, len(data), pages]
-            spans.append((data, pages))
-            first += pages
-        catalog_raw = json.dumps(catalog).encode("utf-8")
-        header = struct.pack("<8sIIQI", PAGE_MAGIC, 1, self.PAGE_SIZE,
-                             first, len(catalog_raw))
-        with open(path, "wb") as handle:
-            page0 = header + catalog_raw
-            handle.write(page0 + b"\x00" * (self.PAGE_SIZE - len(page0)))
-            for data, pages in spans:
-                handle.write(
-                    data + b"\x00" * (pages * self.PAGE_SIZE - len(data)))
-
-    def run(self, workdir: str, steps: list[tuple],
-            on_step: Optional[Callable[[int], None]] = None) -> int:
-        completed = 0
-        for step in steps:
-            if step[0] == "seed-v1":
-                self._write_v1(self._path(workdir), step[1])
-            elif step[0] == "upgrade-open":
-                store = PageStore(self._path(workdir))
-                try:
-                    for name in store.blobs():
-                        store.get_blob(name, verify=True)
-                except BaseException:
-                    _sever_store(store)
-                    raise
-                store.close()
-            completed += 1
-            if on_step is not None:
-                on_step(completed)
-        return completed
-
-    def observe(self, workdir: str) -> str:
-        with PageStore(self._path(workdir)) as store:
-            state = {name: bytes(store.get_blob(name, verify=True))
-                     for name in store.blobs()}
-        return _StoreScenario._fingerprint_dict(state)
 
     def recover_failed(self, workdir: str, completed: int,
                        exc: BaseException) -> Optional[str]:
@@ -563,8 +490,7 @@ class _RecoveryScenario:
 
 def make_scenario(name: str):
     try:
-        cls = {"store": _StoreScenario, "upgrade": _UpgradeScenario,
-               "service": _ServiceScenario,
+        cls = {"store": _StoreScenario, "service": _ServiceScenario,
                "recovery": _RecoveryScenario}[name]
     except KeyError:
         raise StorageError(f"unknown storm scenario {name!r} "

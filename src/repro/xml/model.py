@@ -12,7 +12,7 @@ the token stream of :mod:`repro.xml.parser` and
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional, Union
 
 from repro.errors import XMLSyntaxError
 from repro.xml import tokens as T
@@ -209,19 +209,25 @@ class XMLDocument:
 
 
 def _node_tokens(node: XMLNode) -> Iterator[T.Token]:
-    if isinstance(node, XMLElement):
-        yield T.StartTag(node.tag, tuple(node.attributes.items()))
-        for child in node.children:
-            yield from _node_tokens(child)
-        yield T.EndTag(node.tag)
-    elif isinstance(node, XMLTextNode):
-        yield T.Text(node.content)
-    elif isinstance(node, XMLCommentNode):
-        yield T.Comment(node.content)
-    elif isinstance(node, XMLInstructionNode):
-        yield T.Instruction(node.target, node.content)
-    else:  # pragma: no cover - model is closed
-        raise TypeError(f"unknown node type {type(node)!r}")
+    # an explicit stack (end tags wait on it as tokens), so nesting
+    # depth is not bounded by Python's recursion limit
+    stack: list[Union[XMLNode, T.EndTag]] = [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, T.EndTag):
+            yield item
+        elif isinstance(item, XMLElement):
+            yield T.StartTag(item.tag, tuple(item.attributes.items()))
+            stack.append(T.EndTag(item.tag))
+            stack.extend(reversed(item.children))
+        elif isinstance(item, XMLTextNode):
+            yield T.Text(item.content)
+        elif isinstance(item, XMLCommentNode):
+            yield T.Comment(item.content)
+        elif isinstance(item, XMLInstructionNode):
+            yield T.Instruction(item.target, item.content)
+        else:  # pragma: no cover - model is closed
+            raise TypeError(f"unknown node type {type(item)!r}")
 
 
 def _place_misc(node: XMLNode, stack: list[XMLElement],

@@ -91,34 +91,41 @@ def pretty(item: Union[XMLDocument, XMLNode], indent: str = "  ") -> str:
 
 def _render_pretty(node: XMLNode, pieces: list[str], indent: str,
                    level: int) -> None:
-    pad = indent * level
-    if isinstance(node, XMLElement):
-        attributes = "".join(
-            f' {key}="{escape_attribute(value)}"'
-            for key, value in node.attributes.items())
-        has_element_children = any(
-            isinstance(child, XMLElement) for child in node.children)
-        if not node.children:
-            pieces.append(f"{pad}<{node.tag}{attributes}/>")
-        elif has_element_children:
-            pieces.append(f"{pad}<{node.tag}{attributes}>")
-            for child in node.children:
-                _render_pretty(child, pieces, indent, level + 1)
-            pieces.append(f"{pad}</{node.tag}>")
-        else:
-            inline = "".join(
-                escape_text(child.content)
-                for child in node.children
-                if isinstance(child, XMLTextNode))
-            pieces.append(
-                f"{pad}<{node.tag}{attributes}>{inline}</{node.tag}>")
-    elif isinstance(node, XMLTextNode):
-        stripped = node.content.strip()
-        if stripped:
-            pieces.append(f"{pad}{escape_text(stripped)}")
-    elif isinstance(node, XMLCommentNode):
-        pieces.append(f"{pad}<!--{node.content}-->")
-    elif isinstance(node, XMLInstructionNode):
-        body = f"{node.target} {node.content}" if node.content \
-            else node.target
-        pieces.append(f"{pad}<?{body}?>")
+    # an explicit stack (padded end tags wait on it as strings), so
+    # nesting depth is not bounded by Python's recursion limit
+    stack: list[tuple[Union[XMLNode, str], int]] = [(node, level)]
+    while stack:
+        item, level = stack.pop()
+        pad = indent * level
+        if isinstance(item, str):
+            pieces.append(item)
+        elif isinstance(item, XMLElement):
+            attributes = "".join(
+                f' {key}="{escape_attribute(value)}"'
+                for key, value in item.attributes.items())
+            has_element_children = any(
+                isinstance(child, XMLElement) for child in item.children)
+            if not item.children:
+                pieces.append(f"{pad}<{item.tag}{attributes}/>")
+            elif has_element_children:
+                pieces.append(f"{pad}<{item.tag}{attributes}>")
+                stack.append((f"{pad}</{item.tag}>", level))
+                stack.extend((child, level + 1)
+                             for child in reversed(item.children))
+            else:
+                inline = "".join(
+                    escape_text(child.content)
+                    for child in item.children
+                    if isinstance(child, XMLTextNode))
+                pieces.append(
+                    f"{pad}<{item.tag}{attributes}>{inline}</{item.tag}>")
+        elif isinstance(item, XMLTextNode):
+            stripped = item.content.strip()
+            if stripped:
+                pieces.append(f"{pad}{escape_text(stripped)}")
+        elif isinstance(item, XMLCommentNode):
+            pieces.append(f"{pad}<!--{item.content}-->")
+        elif isinstance(item, XMLInstructionNode):
+            body = f"{item.target} {item.content}" if item.content \
+                else item.target
+            pieces.append(f"{pad}<?{body}?>")

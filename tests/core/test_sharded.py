@@ -377,6 +377,22 @@ class TestPersistence:
             with pytest.raises(ParameterError, match="manifest"):
                 ShardedCompactLTree.load(store)
 
+    def test_manifest_format_checked(self, tmp_path):
+        """Formats 1 and 2 (rank-ordered shards, live-leaf sidecars, a
+        JSON forwarding list) are no longer read: a manifest that names
+        one is refused, not reinterpreted."""
+        tree, _ = _sharded(24, 3)
+        path = str(tmp_path / "old.ltp")
+        with PageStore(path) as store:
+            tree.save(store)
+            manifest = json.loads(bytes(store.get_blob("scheme")))
+            for version in (1, 2):
+                manifest["format"] = version
+                store.put_blob("scheme", json.dumps(manifest).encode())
+                with pytest.raises(ParameterError,
+                                   match=f"format {version}"):
+                    ShardedCompactLTree.load(store)
+
     def test_live_count_checked_on_first_derivation(self, tmp_path):
         """No sidecar is stored, so the manifest's live count is the
         check: an image whose live leaves disagree with it raises when

@@ -1,7 +1,7 @@
 """The stored form of a LabeledDocument: token columns (format 2).
 
 What a save may refuse and must keep (the export rule, row by row),
-format-1 stores that hold XML text, column blobs that are truncated or
+what a reopen hands back, column blobs that are truncated or
 inconsistent, and stores that hold no saved document at all.
 """
 
@@ -17,9 +17,7 @@ from repro.labeling.scheme import LabeledDocument, _tokens
 from repro.order.compact_list import CompactListLabeling
 from repro.order.ltree_list import LTreeListLabeling
 from repro.order.sharded_list import ShardedListLabeling
-from repro.storage.faults import FAILPOINTS, SimulatedCrash, torn_write
 from repro.storage.pages import PageStore
-from repro.testing.crashstorm import _sever_store
 from repro.xml.generator import xmark_like
 from repro.xml.model import (XMLCommentNode, XMLDocument, XMLElement,
                              XMLInstructionNode, XMLTextNode)
@@ -146,7 +144,7 @@ def test_save_refuses_documents_their_xml_would_alter(tmp_path, row):
 
 
 # ----------------------------------------------------------------------
-# format-1 stores: XML text, read through the same attach path
+# a reopen hands each token its handle back
 # ----------------------------------------------------------------------
 def _edited(name, seed=17):
     document = xmark_like(n_items=15, n_people=8, n_auctions=6, seed=seed)
@@ -167,19 +165,6 @@ def _edited(name, seed=17):
     return labeled
 
 
-def _write_format1(labeled, path):
-    """The format-1 layout by hand: ``meta`` with format 1, the
-    serialized XML as ``document.xml``, the scheme blobs unchanged."""
-    labeled.save(path)
-    with PageStore(path) as store:
-        meta = json.loads(bytes(store.get_blob("meta")))
-        meta["format"] = 1
-        store.put_blobs({"meta": json.dumps(meta).encode("utf-8"),
-                         "document.xml":
-                             serialize(labeled.document).encode("utf-8")},
-                        delete=["document.columns"])
-
-
 def _token_kinds(labeled):
     """The kinds of the document's tokens, each checked to hold the
     scheme's live handle at that position in its node's ``begin`` slot
@@ -194,91 +179,12 @@ def _token_kinds(labeled):
     return kinds
 
 
-@pytest.mark.parametrize("name", sorted(SCHEMES))
-class TestFormat1Store:
-    def test_opens_identical(self, tmp_path, name):
-        labeled = _edited(name)
-        path = str(tmp_path / "doc.ltp")
-        _write_format1(labeled, path)
-        with PageStore(path) as store:
-            assert store.has_blob("document.xml")
-            assert not store.has_blob("document.columns")
-            reopened = LabeledDocument.open(store)
-            if name == "ltree-sharded":
-                assert reopened.scheme.tree.materialized_shards == []
-            assert reopened.labels_in_order() == labeled.labels_in_order()
-            assert serialize(reopened.document) == \
-                serialize(labeled.document)
-            assert _model(reopened.document) == _model(labeled.document)
-            assert _token_kinds(reopened) == _token_kinds(labeled)
-            if name == "ltree-sharded":
-                assert reopened.scheme.tree.materialized_shards == []
-        reopened.validate()
-
-    def test_next_save_writes_format2(self, tmp_path, name):
-        labeled = _edited(name)
-        path = str(tmp_path / "doc.ltp")
-        _write_format1(labeled, path)
-        reopened = LabeledDocument.open(path)
-        try:
-            reopened.insert_text(reopened.document.root, 0, "upgraded")
-            reopened.save()
-        finally:
-            reopened.close()
-        with PageStore(path) as store:
-            assert json.loads(bytes(store.get_blob("meta")))["format"] == 2
-            assert store.has_blob("document.columns")
-            assert not store.has_blob("document.xml")
-            third = LabeledDocument.open(store)
-        assert third.labels_in_order() == reopened.labels_in_order()
-        assert _model(third.document) == _model(reopened.document)
-
-    @pytest.mark.parametrize("nth", [1, 2])
-    @pytest.mark.parametrize("point", ["pagestore:catalog:pre-write",
-                                       "pagestore:put:torn-span"])
-    def test_crash_during_upgrade_reopens_old_or_new(self, tmp_path, name,
-                                                     point, nth):
-        labeled = _edited(name)
-        path = str(tmp_path / "doc.ltp")
-        _write_format1(labeled, path)
-        store = PageStore(path)
-        reopened = LabeledDocument.open(store)
-        old = (reopened.labels_in_order(), _model(reopened.document))
-        reopened.append_subtree(reopened.document.root,
-                                parse("<late/>").root)
-        new = (reopened.labels_in_order(), _model(reopened.document))
-        action = torn_write(0.3) if ":torn-" in point else "crash"
-        crashed = False
-        with FAILPOINTS.scoped():
-            FAILPOINTS.arm(point, action, nth=nth)
-            try:
-                reopened.save(store)
-            except SimulatedCrash:
-                crashed = True
-                _sever_store(store)
-            else:
-                store.close()
-        with PageStore(path) as store:
-            assert store.has_blob("document.xml") == crashed
-            again = LabeledDocument.open(store)
-            state = (again.labels_in_order(), _model(again.document))
-            again.validate()
-        assert state == (old if crashed else new)
-        if nth == 1:
-            assert crashed
-
-
-@pytest.mark.parametrize("version", [1, 2])
-def test_concurrent_open_materializes_nothing_and_saves_format2(
-        tmp_path, version):
+def test_concurrent_open_materializes_nothing_and_saves_format2(tmp_path):
     from repro.concurrent.engine import ConcurrentLTree
 
     labeled = _edited("ltree-sharded")
     path = str(tmp_path / "doc.ltp")
-    if version == 1:
-        _write_format1(labeled, path)
-    else:
-        labeled.save(path)
+    labeled.save(path)
     reopened = LabeledDocument.open(path, concurrent=True)
     try:
         tree = reopened.scheme.tree

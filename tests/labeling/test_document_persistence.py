@@ -513,7 +513,9 @@ class TestConcurrentOpen:
 
 def test_open_path_closes_store_on_validation_error(tmp_path, monkeypatch):
     """open(path) must not leak the PageStore it created when the
-    document fails validation after the store is already open."""
+    document fails validation after the store is already open: here a
+    format it does not read, format 1 (XML text, no longer opened) or
+    one no save ever wrote."""
     import json
 
     from repro.errors import ParameterError
@@ -522,8 +524,6 @@ def test_open_path_closes_store_on_validation_error(tmp_path, monkeypatch):
     labeled = _edited_document(SCHEMES["ltree-compact"]())
     path = str(tmp_path / "bad.ltp")
     labeled.save(path)
-    with PageStore(path) as store:
-        store.put_blob("meta", json.dumps({"format": 999}).encode())
     created = []
     real_store = pages_module.PageStore
 
@@ -533,7 +533,13 @@ def test_open_path_closes_store_on_validation_error(tmp_path, monkeypatch):
             created.append(self)
 
     monkeypatch.setattr(pages_module, "PageStore", SpyStore)
-    with pytest.raises(ParameterError, match="format"):
-        LabeledDocument.open(path)
-    assert created
-    assert all(spy._file.closed for spy in created)
+    for version in (1, 999):
+        with real_store(path) as store:
+            meta = json.loads(bytes(store.get_blob("meta")))
+            meta["format"] = version
+            store.put_blob("meta", json.dumps(meta).encode())
+        created.clear()
+        with pytest.raises(ParameterError, match=f"format {version}"):
+            LabeledDocument.open(path)
+        assert created
+        assert all(spy._file.closed for spy in created)

@@ -1,7 +1,6 @@
 """Page-backed store: fixed-size pages, buffer pool, mmap fast path,
 crash-consistent catalog flips, vacuum."""
 
-import json
 import os
 import struct
 
@@ -621,62 +620,16 @@ class TestReclaimingPuts:
 
 
 class TestFormatCompat:
-    """Version-1 files (single mutable header page, data from page 1)
-    must keep opening: the store upgrades them to the version-2 layout
-    in place, through a temp file and an atomic rename."""
+    """Version 2 is the only page-file layout a store opens: any other
+    version, the retired version-1 layout (one mutable header page,
+    data from page 1) included, is refused with an error naming it."""
 
-    def _write_v1(self, path, blobs, page_size=128):
-        catalog = {}
-        spans = []
-        first = 1
-        for name, data in blobs.items():
-            pages = max(1, -(-len(data) // page_size))
-            catalog[name] = [first, len(data), pages]
-            spans.append((data, pages))
-            first += pages
-        catalog_raw = json.dumps(catalog).encode("utf-8")
-        header = struct.pack("<8sIIQI", PAGE_MAGIC, 1, page_size,
-                             first, len(catalog_raw))
-        assert len(header) + len(catalog_raw) <= page_size
+    @pytest.mark.parametrize("version", [1, 9])
+    def test_unknown_version_rejected(self, path, version):
         with open(path, "wb") as handle:
-            page0 = header + catalog_raw
-            handle.write(page0 + b"\x00" * (page_size - len(page0)))
-            for data, pages in spans:
-                handle.write(data +
-                             b"\x00" * (pages * page_size - len(data)))
-
-    def test_v1_file_upgrades_on_open(self, path):
-        blobs = {"alpha": b"a" * 300, "beta": b"b" * 17, "empty": b""}
-        self._write_v1(path, blobs)
-        with PageStore(path) as store:
-            assert store.page_size == 128
-            for name, data in blobs.items():
-                assert bytes(store.get_blob(name)) == data
-            # the upgraded store is a full citizen: writable, vacuumable
-            store.put_blob("gamma", b"c" * 500)
-        with open(path, "rb") as handle:
-            raw = handle.read(16)
-        assert raw[:8] == PAGE_MAGIC
-        assert struct.unpack_from("<I", raw, 8)[0] == PAGE_FORMAT_VERSION
-        with PageStore(path) as store:          # reopens as plain v2
-            assert bytes(store.get_blob("gamma")) == b"c" * 500
-            assert bytes(store.get_blob("alpha")) == b"a" * 300
-
-    def test_v1_upgrade_ignores_stale_temp(self, path):
-        """A temp file left by an upgrade that crashed before its
-        rename must not poison the retry."""
-        self._write_v1(path, {"alpha": b"a" * 64})
-        with open(path + ".upgrade", "wb") as handle:
-            handle.write(b"half a file")
-        with PageStore(path) as store:
-            assert bytes(store.get_blob("alpha")) == b"a" * 64
-        assert not os.path.exists(path + ".upgrade")
-
-    def test_unknown_version_rejected(self, path):
-        with open(path, "wb") as handle:
-            handle.write(struct.pack("<8sII", PAGE_MAGIC, 9, 128))
+            handle.write(struct.pack("<8sII", PAGE_MAGIC, version, 128))
             handle.write(b"\x00" * 1024)
-        with pytest.raises(StorageError, match="version 9"):
+        with pytest.raises(StorageError, match=f"version {version}"):
             PageStore(path)
 
 

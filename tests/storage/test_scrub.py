@@ -173,10 +173,10 @@ class TestRepair:
     def test_repair_removes_leftover_temp_files(self, tmp_path):
         path = str(tmp_path / "store.ltp")
         _store_with(path, {"a": b"x"})
-        open(path + ".upgrade", "wb").close()
+        open(path + ".vacuum", "wb").close()
         report = repair_store(path)
         assert any("removed" in a for a in report.actions)
-        assert not os.path.exists(path + ".upgrade")
+        assert not os.path.exists(path + ".vacuum")
 
     def test_both_slots_dead_raises_recovery_error(self, tmp_path):
         """The documented unrepairable state: no catalog survives, so

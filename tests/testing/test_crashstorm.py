@@ -41,8 +41,8 @@ class TestFullStorm:
         assert stormed | set(report.unreached) == set(FAILPOINTS.names())
 
     def test_report_round_trips_to_json(self):
-        report = run_storm(seed=0, scenarios=["upgrade"],
-                           failpoints=["pagestore:upgrade:pre-replace"])
+        report = run_storm(seed=0, scenarios=["store"],
+                           failpoints=["pagestore:vacuum:pre-replace"])
         payload = report.to_dict()
         assert json.loads(json.dumps(payload)) == payload
         assert payload["ok"] is True

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.errors import XMLSyntaxError
-from repro.labeling import LabeledDocument
+from repro.labeling import DeweyDocument, LabeledDocument
 from repro.order import make_scheme
-from repro.xml import parse, serialize, tokenize
+from repro.xml import (StartTag, build_document, parse, pretty, serialize,
+                       tokenize)
 from repro.xml.generator import deep_document
 
 
@@ -57,6 +58,36 @@ class TestDepth:
         text = serialize(deep_document(self.DEPTH))
         assert text.count("<level") == self.DEPTH
         assert parse(text).count_elements() == self.DEPTH
+
+    def test_tokens_of_deep_document(self):
+        """The token walk keeps its own stack, and its tokens rebuild
+        the same document."""
+        document = deep_document(self.DEPTH)
+        tokens = list(document.tokens())
+        assert sum(isinstance(token, StartTag)
+                   for token in tokens) == self.DEPTH
+        assert serialize(build_document(tokens)) == serialize(document)
+
+    def test_pretty_deep_document(self):
+        lines = pretty(deep_document(self.DEPTH)).splitlines()
+        assert sum(line.lstrip().startswith("<level")
+                   for line in lines) == self.DEPTH
+
+    def test_dewey_deep_document(self):
+        """Dewey labeling keeps its own stack, in the constructor and
+        in the relabel loop of ``insert_subtree``, and so does the
+        unlabeling walk of ``delete_subtree``."""
+        document = deep_document(self.DEPTH)
+        dewey = DeweyDocument(document)
+        bottom = next(document.find_all(f"level{self.DEPTH - 1}"))
+        assert len(dewey.label(bottom)) == self.DEPTH - 1
+        dewey.insert_subtree(document.root, 0, parse("<first/>").root)
+        assert dewey.label(bottom)[0] == 1
+        assert dewey.is_ancestor(document.root, bottom)
+        dewey.validate()
+        dewey.delete_subtree(document.root.children[1])
+        with pytest.raises(ValueError):
+            dewey.label(bottom)
 
     def test_deep_document_save_open_round_trip(self, tmp_path):
         for name in self.SCHEMES:
