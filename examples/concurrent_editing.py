@@ -11,7 +11,7 @@ incremental durability:
    under its writer mutex, in arrival order) while every op is
    appended to a CRC'd write-ahead log under group commit;
 2. **a snapshot reader** queries labels/order the whole time with zero
-   locks, off immutable per-shard byte images;
+   locks, off pinned per-shard label and tombstone columns;
 3. a **checkpoint** folds the log into the page store (one atomic
    catalog flip carries the arenas *and* the WAL watermark) and
    truncates it;

@@ -10,8 +10,8 @@ walkthrough shows the query layer cashing them in:
    ``scheme.tree`` becomes a thread-safe ``ConcurrentLTree``;
 2. a :class:`repro.query.columnar.ColumnarStore` is **pinned** from one
    ``tree.snapshot()``: every ``(begin, end, level)`` column is gathered
-   straight off the snapshot's frozen per-shard byte images — no locks,
-   no live-engine reads, one bulk extraction for the whole store;
+   straight off the snapshot's pinned per-shard label columns — no
+   locks, no live-engine reads, one bulk extraction for the whole store;
 3. **writer threads** hammer the live engine the whole time while the
    main thread evaluates XPath through the vectorized columnar engine,
    one serial pass per axis step.  Every result is identical to the
@@ -65,7 +65,7 @@ def main() -> None:
         expected = [[id(e) for e in evaluate_dom(doc.document, query)]
                     for query in queries]
 
-        # -- pin once: columns come off frozen byte images ------------
+        # -- pin once: columns come off pinned label columns ---------
         store = ColumnarStore.from_snapshot(doc, tree.snapshot())
         print(f"pinned {len(store)} elements from "
               f"{tree.shard_count} shards ({store.backend} backend)")

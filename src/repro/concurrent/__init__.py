@@ -9,7 +9,8 @@ threads and incrementally durable:
 * :mod:`repro.concurrent.engine` — :class:`ConcurrentLTree`, the
   thread-safe engine wrapper: one writer mutex serializes every access
   to the live engine, and :class:`LabelSnapshot` reads, pinned from
-  immutable per-shard byte images, take no lock at all;
+  per-shard copies of the label, height and tombstone columns, take no
+  lock at all;
 * :mod:`repro.concurrent.service` — :class:`ConcurrentDocument`, the
   WAL-backed service: every logical op is appended to a
   :class:`repro.storage.wal.WriteAheadLog` under group commit,

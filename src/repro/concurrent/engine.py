@@ -15,13 +15,16 @@ unchanged) and makes it safe to share between threads:
   mutex.  An update and the stride bump it may cause share one hold,
   so the engine grows its directory inline, exactly as it does
   single-threaded;
-* **lock-free snapshot reads** — :meth:`snapshot` pins, per shard, the
-  immutable payload-free byte image the lazy-reopen path already serves
-  (:meth:`~repro.core.sharded.ShardedCompactLTree.shard_image`).  The
-  pinned shard is cached under the engine's per-shard write version, so
-  an unchanged shard is pinned for free and a written one costs one
-  ``to_bytes`` image copy — no leaf walk, no tombstone scan.  Only the
-  pin takes the mutex; the resulting :class:`LabelSnapshot` answers
+* **lock-free snapshot reads** — :meth:`snapshot` pins, per shard,
+  copies of the three columns a label read needs: labels, heights and
+  tombstones (:meth:`~repro.core.sharded.ShardedCompactLTree.pin_shard`),
+  17 bytes per slot for int64 columns.  A whole ``to_bytes`` image is
+  49 bytes per slot plus 8 per free slot, and ``to_bytes`` copies it
+  twice: once into pieces, then in the join.  The pinned shard is
+  cached under the engine's per-shard write version, so an unchanged
+  shard is pinned for free and a written one costs three column
+  copies — no packing, no leaf walk, no tombstone scan.  Only the pin
+  takes the mutex; the resulting :class:`LabelSnapshot` answers
   label / order / containment queries against live writers without
   taking any lock.
 
@@ -32,9 +35,9 @@ directory epoch (so the WAL tape can never order an op on a new shard
 ahead of its creation).  A writer whose handle names a retired shard
 routes through the engine's forwarding table to its successor.  A
 pinned :class:`LabelSnapshot` is entirely unaffected: it holds its own
-directory cut (ids, positions, stride, images) plus the grow-only
-forwarding table, so a rebalance committing under it changes nothing it
-can observe.
+directory cut (ids, positions, stride, pinned columns) plus the
+grow-only forwarding table, so a rebalance committing under it changes
+nothing it can observe.
 
 An optional ``journal`` callable receives one dict per successful
 mutation *while the mutex is still held*, so the journal's record order
@@ -66,30 +69,32 @@ FAILPOINTS.declare("concurrent:merge:post-journal",
 
 
 class LabelSnapshot:
-    """An immutable label view pinned from per-shard byte images.
+    """An immutable label view pinned from per-shard column copies.
 
-    Holds one lazy :class:`~repro.core.sharded._Shard` per shard —
-    the same structure the shard-lazy reopen path reads — plus its own
-    cut of the shard directory: the id order, positions and stride at
-    pin time, and a reference to the engine's grow-only forwarding
-    table.  Every query below runs against those frozen bytes: no
-    locks, no interaction with live writers, and two snapshots with
-    equal :attr:`epoch` are guaranteed bit-identical.  A rebalance
-    committing *after* the pin is invisible — the snapshot keeps
-    composing from its own directory cut — while handles minted
+    Holds one pinned :class:`~repro.core.sharded._Shard` per shard —
+    the structure, and the read path, the shard-lazy reopen path uses —
+    plus its own cut of the shard directory: the id order, positions
+    and stride at pin time, and a reference to the engine's grow-only
+    forwarding table.  Every query below runs against those frozen
+    columns: no locks, no interaction with live writers, and two
+    snapshots with equal :attr:`epoch` are guaranteed bit-identical.
+    A rebalance committing *after* the pin is invisible — the snapshot
+    keeps composing from its own directory cut — while handles minted
     *before* the pin keep resolving through the forwarding table even
     if their shard was rebalanced away pre-pin.
 
-    **What a pin pays for.**  Snapshots of one shard version share one
-    pinned shard object and its memos: the label column, decoded on the
-    first :meth:`label_column` call, and the live-leaf list.  A shard
-    written since the previous pin carries only its image; its live
-    list is derived from the image's label, height and tombstone
-    columns (one sort of the live leaf slots by label, no tree walk
-    and no decode of the arena) on the first :meth:`handles`,
-    :meth:`labels` or :meth:`label_map` read — outside the writer
-    mutex, and never on the columnar query path, which reads only
-    label columns.  :attr:`n_live` comes from the pinned leaf and
+    **What a pin pays for.**  Labels alone give document order and
+    region containment, so a pinned shard holds copies of three
+    columns — labels, heights and tombstones, in the form the engine
+    holds them (``array('q')`` or exact-int lists) — and no parent,
+    child, sibling or leaf-count link and no free list.  Snapshots of
+    one shard version share one pinned shard object and its live-leaf
+    list.  A shard written since the previous pin carries only its
+    column copies; its live list is derived from them (one sort of the
+    live leaf slots by label, no tree walk) on the first
+    :meth:`handles`, :meth:`labels` or :meth:`label_map` read — outside
+    the writer mutex, and never on the columnar query path, which reads
+    only label columns.  :attr:`n_live` comes from the pinned leaf and
     tombstone counts.
     """
 
@@ -191,15 +196,16 @@ class LabelSnapshot:
     def label_column(self, shard_id: int) -> Sequence[int]:
         """The slot-indexed local label column of one pinned shard.
 
-        The columnar query engine's bulk-input hook: the column is
-        decoded once off the frozen byte image and memoized on the
-        pinned shard, which every snapshot of the same shard version
-        shares — so a query extracts every label it needs in one pass
-        per shard instead of one :meth:`label` call per node, and a
-        re-pin decodes only the shards written since.  Compose the
-        global label of ``slot`` as ``shard_prefix(shard_id) +
-        column[slot]``.  Like every other read on this object, this
-        takes no locks and never touches the live engine.
+        The columnar query engine's bulk-input hook: the pinned label
+        column itself, returned without a copy or a decode and shared
+        by every snapshot of the same shard version — so a query
+        extracts every label it needs in one pass per shard instead of
+        one :meth:`label` call per node.  It is an ``array('q')`` or,
+        for a shard the engine holds as lists, a list of exact ints
+        (labels past int64 included).  Compose the global label of
+        ``slot`` as ``shard_prefix(shard_id) + column[slot]``.  Like
+        every other read on this object, this takes no locks and never
+        touches the live engine.
         """
         return self._shards[self._position(shard_id)].num_column()
 
@@ -212,7 +218,7 @@ class LabelSnapshot:
                  inner: tuple[tuple[int, int], tuple[int, int]]) -> bool:
         """Region containment of two (begin, end) handle pairs —
         the paper's ancestor test, answered entirely off the pinned
-        images."""
+        label columns."""
         outer_begin, outer_end = outer
         inner_begin, inner_end = inner
         return self.label(outer_begin) < self.label(inner_begin) and \
@@ -310,8 +316,8 @@ class ConcurrentLTree:
         self._write_counts: dict[int, int] = dict.fromkeys(
             engine.shard_ids, 0)
         #: shard id -> (write version, pinned shard): every snapshot of
-        #: one shard version shares the pinned shard and its memos
-        self._image_cache: dict[int, tuple[int, _Shard]] = {}
+        #: one shard version shares the pinned shard and its live list
+        self._pin_cache: dict[int, tuple[int, _Shard]] = {}
         #: test seam: called at named points inside split/merge while
         #: the mutex is held (e.g. ``("split:locked", shard_id)``) — the
         #: rebalance tests park an action here to freeze it mid-flight
@@ -510,7 +516,7 @@ class ConcurrentLTree:
             handles = self._engine.bulk_load(items, boundaries=boundaries)
             self._write_counts = dict.fromkeys(self._engine.shard_ids, 0)
             # the new shards reuse ids 0..k-1 at version 1
-            self._image_cache.clear()
+            self._pin_cache.clear()
             if self._journal is not None:
                 self._journal({
                     "op": "bulk_load", "ps": items,
@@ -540,7 +546,7 @@ class ConcurrentLTree:
         """Retire a split/merge's input shards, start its outputs."""
         for sid in old:
             self._write_counts.pop(sid, None)
-            self._image_cache.pop(sid, None)
+            self._pin_cache.pop(sid, None)
         for sid in new:
             self._write_counts[sid] = 0
 
@@ -719,11 +725,13 @@ class ConcurrentLTree:
         Holds the mutex only for the pin.  A shard unchanged since the
         last snapshot reuses its cached pinned shard, so a snapshot
         between writes costs a few dict lookups; a written shard costs
-        one ``to_bytes`` image copy (see :class:`LabelSnapshot` for what
-        is deferred past the pin).  The epoch is the engine's directory
-        epoch plus its per-shard write versions.  The returned object
-        never touches this engine again — rebalances committing after
-        the pin are invisible to it.
+        copies of its label, height and tombstone columns (one memcpy
+        each for ``array('q')`` columns, no int64 packing for list
+        ones), never a ``to_bytes`` image (see :class:`LabelSnapshot`
+        for what is deferred past the pin).  The epoch is the engine's
+        directory epoch plus its per-shard write versions.  The returned
+        object never touches this engine again — rebalances committing
+        after the pin are invisible to it.
         """
         engine = self._engine
         with self._locked():
@@ -735,12 +743,10 @@ class ConcurrentLTree:
                 (sid, versions[sid]) for sid in ids)
             shards: list[_Shard] = []
             for sid in ids:
-                cached = self._image_cache.get(sid)
+                cached = self._pin_cache.get(sid)
                 if cached is None or cached[0] != versions[sid]:
-                    image, live, meta = engine.shard_image(sid)
-                    cached = (versions[sid],
-                              _Shard.lazy(image, live, meta, NULL_COUNTERS))
-                    self._image_cache[sid] = cached
+                    cached = (versions[sid], engine.pin_shard(sid))
+                    self._pin_cache[sid] = cached
                 shards.append(cached[1])
         return LabelSnapshot(engine.params, stride, ids, shards,
                              forwarding, epoch)

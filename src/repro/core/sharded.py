@@ -78,13 +78,15 @@ directory itself — id order, epoch, forwarding entries, next unused id
 is **shard-lazy** by default: only the manifest and the forwarding blob
 are decoded; a shard's arena is deserialized the first time an
 operation *writes* it (or needs its structure).  Pure label reads —
-``num``, ``label_map``, a snapshot's ``label_column`` — are served
-straight off the byte image through the column offsets of
-:func:`repro.core.compact.read_array_header`, and a lazy shard's live
-leaves are derived from the image's label, height and tombstone
-columns on first use (:func:`repro.core.vectorized.leaf_order`), so a
-reopen followed by queries and single-subtree edits touches one arena,
-not all of them.
+``num``, ``is_deleted``, ``labels``, ``label_map`` — are served from
+three columns of the byte image, found through the column offsets of
+:func:`repro.core.compact.read_array_header`: the label column (decoded
+once), the tombstones (read in place) and, for a lazy shard's live
+leaves, the heights (:func:`repro.core.vectorized.leaf_order` on first
+use).  So a reopen followed by queries and single-subtree edits
+touches one arena, not all of them.  A snapshot pin
+(:meth:`ShardedCompactLTree.pin_shard`) copies the same three columns
+and nothing else.
 """
 
 from __future__ import annotations
@@ -92,8 +94,6 @@ from __future__ import annotations
 import json
 import operator
 import re
-import struct
-import sys
 import zlib
 from array import array
 from typing import Any, Iterator, Optional, Sequence
@@ -118,35 +118,46 @@ MANIFEST_FORMAT_VERSION = 3
 #: ``kind`` tag of the manifest (a JSON blob, not an LTREEARR image)
 MANIFEST_KIND = "sharded-ltree"
 
-_INT64 = struct.Struct("<q")
-
 
 class _Shard:
-    """One arena: a materialized engine, or a still-lazy byte image.
+    """One arena: a materialized engine, or the columns label reads need.
 
-    A lazy shard can answer *label* questions (``num``, tombstone bits,
-    live-leaf enumeration) straight from its image's columns; the first
+    A shard that is not materialized answers *label* questions
+    (``num``, tombstone bits, live-leaf enumeration) from three
+    slot-indexed columns, never a link column: the labels, the heights
+    (read only to find the leaves) and the tombstone bytes.  A shard
+    reopened by :meth:`ShardedCompactLTree.load` reads them off its
+    stored ``LTREEARR`` image — the label column is decoded once on
+    first use and kept, the heights are decoded when leaf order is
+    first needed, and the tombstones are read in place — and its first
     mutation or structural question materializes it through
-    :meth:`CompactLTree.from_bytes`.
+    :meth:`CompactLTree.from_bytes`.  A *pinned* shard
+    (:meth:`ShardedCompactLTree.pin_shard`) holds owned copies of the
+    three columns and no image, so it is never materialized.
     """
 
     __slots__ = ("tree", "stats", "image", "header", "live", "pending",
                  "meta_height", "meta_n_leaves", "meta_tombstones",
-                 "meta_live", "_num_column", "write_version")
+                 "meta_live", "_num", "_height", "_deleted",
+                 "write_version")
 
     def __init__(self, tree: Optional[CompactLTree], stats: Counters):
         self.tree = tree
         self.stats = stats
         self.image: Any = None
         self.header = None
-        #: live leaf slots in document order (lazy shards only; ``None``
-        #: until first derived — see :meth:`live_leaves`)
+        #: live leaf slots in document order (unmaterialized shards
+        #: only; ``None`` until first derived — see :meth:`live_leaves`)
         self.live: Optional[Sequence[int]] = None
         #: payloads reattached while lazy, applied on materialization
         self.pending: dict[int, Any] = {}
-        #: decoded label column of a lazy image, memoized on first use
-        #: (a lazy shard is immutable, so this can never go stale)
-        self._num_column: Optional[array] = None
+        #: the label, height and tombstone columns of an unmaterialized
+        #: shard; a reopened shard decodes its labels and heights on
+        #: first use (the image is immutable, so they never go stale)
+        #: and views its tombstones in place
+        self._num: Optional[Sequence[int]] = None
+        self._height: Optional[Sequence[int]] = None
+        self._deleted: Any = None
         #: bumped by the engine on every label-affecting mutation of
         #: this arena (inserts, runs, tombstones, compaction) — the
         #: dirty-shard signal snapshot epochs and incremental columnar
@@ -158,17 +169,35 @@ class _Shard:
         self.meta_tombstones = 0
         self.meta_live = 0
 
+    def _set_meta(self, meta: dict) -> None:
+        self.meta_height = meta["height"]
+        self.meta_n_leaves = meta["n_leaves"]
+        self.meta_tombstones = meta["tombstones"]
+        self.meta_live = meta["live"]
+
     @classmethod
-    def lazy(cls, image: Any, live: Optional[Sequence[int]], meta: dict,
-             stats: Counters) -> "_Shard":
+    def lazy(cls, image: Any, meta: dict, stats: Counters) -> "_Shard":
+        """A shard reopened from its stored image."""
         shard = cls(None, stats)
         shard.image = image
-        shard.header = read_array_header(image)
+        shard.header = header = read_array_header(image)
+        shard._deleted = memoryview(image)[
+            header.deleted_offset:header.deleted_offset + header.n_slots]
+        shard._set_meta(meta)
+        return shard
+
+    @classmethod
+    def pinned(cls, num: Sequence[int], height: Sequence[int],
+               deleted: bytes, live: Optional[Sequence[int]],
+               meta: dict) -> "_Shard":
+        """A shard of owned column copies (see
+        :meth:`ShardedCompactLTree.pin_shard`)."""
+        shard = cls(None, NULL_COUNTERS)
+        shard._num = num
+        shard._height = height
+        shard._deleted = deleted
         shard.live = live
-        shard.meta_height = meta["height"]
-        shard.meta_n_leaves = meta["n_leaves"]
-        shard.meta_tombstones = meta["tombstones"]
-        shard.meta_live = meta["live"]
+        shard._set_meta(meta)
         return shard
 
     @property
@@ -186,54 +215,46 @@ class _Shard:
             self.header = None
             self.live = None
             self.pending = {}
-            self._num_column = None
+            self._num = self._height = self._deleted = None
         return self.tree
 
     # -- label reads that never materialize ---------------------------
     def _check_slot(self, slot: int) -> None:
-        """Bound a lazy read: a stale or invalid slot must raise like
-        the materialized column access would, not return bytes of a
-        neighboring column as a "label"."""
-        if not 0 <= slot < self.header.n_slots:
+        """Bound an unmaterialized read: a stale or invalid slot must
+        raise like the materialized column access would, not index from
+        the end."""
+        n_slots = len(self._deleted)
+        if not 0 <= slot < n_slots:
             raise IndexError(
-                f"slot {slot} outside the {self.header.n_slots}-slot "
-                f"arena")
+                f"slot {slot} outside the {n_slots}-slot arena")
 
     def num(self, slot: int) -> int:
         if self.tree is not None:
             return self.tree.num(slot)
         self._check_slot(slot)
-        return _INT64.unpack_from(self.image,
-                                  self.header.num_offset + 8 * slot)[0]
+        return self.num_column()[slot]
 
     def is_deleted(self, slot: int) -> bool:
         if self.tree is not None:
             return self.tree.is_deleted(slot)
         self._check_slot(slot)
-        return bool(memoryview(self.image)
-                    [self.header.deleted_offset + slot])
+        return bool(self._deleted[slot])
 
     def live_leaves(self) -> Sequence[int]:
-        """Live leaf slots of a lazy shard, in document order.
+        """Live leaf slots of an unmaterialized shard, in document order.
 
-        Derived on the first read that needs them from the image's
-        label, height and tombstone columns
-        (:func:`repro.core.vectorized.leaf_order`) and kept — the image
-        never changes.  The count is checked against the live count the
-        manifest (or the pin) recorded, so an image that disagrees with
-        its manifest fails loudly here.
+        Derived on the first read that needs them from the label,
+        height and tombstone columns
+        (:func:`repro.core.vectorized.leaf_order`) and kept — the
+        columns never change.  The count is checked against the live
+        count the manifest (or the pin) recorded, so an image that
+        disagrees with its manifest fails loudly here.
         """
         live = self.live
         if live is None:
-            header = self.header
-            view = memoryview(self.image)
-            heights = _unpack_int64(
-                view, header.num_offset + 8 * header.n_slots,
-                header.n_slots)
-            tombstones = view[header.deleted_offset:
-                              header.deleted_offset + header.n_slots]
-            live = vectorized.leaf_order(self.num_column(), heights,
-                                         tombstones)
+            live = vectorized.leaf_order(self.num_column(),
+                                         self._height_column(),
+                                         self._deleted)
             if len(live) != self.meta_live:
                 raise ParameterError(
                     f"shard image holds {len(live)} live leaves, its "
@@ -248,33 +269,40 @@ class _Shard:
         return self.live_leaves()
 
     def num_column(self) -> Sequence[int]:
-        """The full slot-indexed local label column, bulk-decoded.
+        """The full slot-indexed local label column.
 
-        For a lazy shard this is one ``array('q')`` decode straight off
-        the frozen byte image (memoized — the image is immutable); for a
-        materialized shard it is the engine's own column, returned
-        without copying.  Entry ``column[slot]`` is the *local* label of
-        ``slot``; callers compose ``position * stride + column[slot]``.
+        A materialized shard returns the engine's own column and a
+        pinned one its copy, neither copied again; a reopened shard
+        decodes one ``array('q')`` off its image on first use and keeps
+        it.  Entry ``column[slot]`` is the *local* label of ``slot``;
+        callers compose ``position * stride + column[slot]``.
         """
         if self.tree is not None:
             return self.tree._num
-        column = self._num_column
+        column = self._num
         if column is None:
             header = self.header
-            column = array("q")
-            column.frombytes(memoryview(self.image)[
-                header.num_offset:
-                header.num_offset + 8 * header.n_slots])
-            if sys.byteorder == "big":
-                column.byteswap()
-            self._num_column = column
+            column = self._num = _unpack_int64(
+                memoryview(self.image), header.num_offset, header.n_slots)
         return column
+
+    def _height_column(self) -> Sequence[int]:
+        """The slot-indexed height column of an unmaterialized shard: a
+        pinned shard's copy, or a fresh decode off a reopened shard's
+        image (needed once, for leaf order, so not kept)."""
+        height = self._height
+        if height is None:
+            header = self.header
+            height = _unpack_int64(memoryview(self.image),
+                                   header.num_offset + 8 * header.n_slots,
+                                   header.n_slots)
+        return height
 
     def arena_bytes(self) -> int:
         """Byte size of this arena's payload-free ``LTREEARR`` image.
 
-        Exact for lazy shards (the image is on hand); computed from the
-        slot counts for materialized ones (six int64 columns, the
+        Exact for reopened shards (the image is on hand); computed from
+        the slot counts for materialized ones (six int64 columns, the
         free-list, one tombstone byte per slot) without serializing.
         """
         if self.tree is None:
@@ -360,11 +388,34 @@ def forward(forwarding: dict, members: Any,
     return (sid, slot)
 
 
-def _load_forwarding(store: Any, spec: Optional[dict]) -> dict:
+#: keys :meth:`ShardedCompactLTree.load` reads from a manifest, from
+#: each of its shard entries and from its forwarding spec
+_MANIFEST_KEYS = ("f", "s", "label_base", "violator_policy", "n_shards",
+                  "epoch", "next_shard_id", "directory_height",
+                  "directory_rebuilds", "shard_splits", "shard_merges",
+                  "forwarding", "shards")
+_SHARD_ENTRY_KEYS = ("id", "blob", "checksum", "height", "n_leaves",
+                     "tombstones", "live")
+_FORWARDING_KEYS = ("blob", "checksum", "entries")
+
+
+def _require(record: Any, keys: Sequence[str], where: str) -> None:
+    """Raise :class:`ParameterError` naming the first of ``keys`` that
+    the manifest ``record`` lacks (``where`` names the record)."""
+    if not isinstance(record, dict):
+        raise ParameterError(f"{where} is not a JSON object")
+    for key in keys:
+        if key not in record:
+            raise ParameterError(f"{where} lacks the key {key!r}")
+
+
+def _load_forwarding(store: Any, spec: Optional[dict], name: str) -> dict:
     """The forwarding table of a format-3 manifest: one CRC-checked
     blob of int64 rank columns, sliced per manifest entry."""
     if spec is None:
         return {}
+    _require(spec, _FORWARDING_KEYS,
+             f"forwarding spec of manifest {name!r}")
     raw = bytes(store.get_blob(spec["blob"]))
     if zlib.crc32(raw) != spec["checksum"]:
         raise ParameterError(
@@ -1186,39 +1237,37 @@ class ShardedCompactLTree:
         self._refresh_directory()
         return mapping
 
-    def shard_image(self, shard_id: int
-                    ) -> tuple[Any, Optional[Sequence[int]], dict]:
-        """``(label image, live leaf slots or None, shape meta)``.
+    def pin_shard(self, shard_id: int) -> _Shard:
+        """A read-only :class:`_Shard` holding copies of one shard's
+        label, height and tombstone columns — the pinning hook of
+        :meth:`repro.concurrent.engine.ConcurrentLTree.snapshot`.
 
-        The image is the same payload-free ``LTREEARR`` byte image the
-        lazy-reopen path serves label reads from.  A still-lazy shard
-        hands back its existing image, and its live list if a reader
-        already derived one, with no deserialization.  A materialized
-        shard costs one :meth:`CompactLTree.to_bytes` copy and no leaf
-        pass: its live list comes back ``None``, and a :class:`_Shard`
-        pinned from the triple derives it from the image's columns only
-        if a reader asks for it (:meth:`_Shard.live_leaves`).  The meta
-        — height, leaf, tombstone and live counts — is O(1).  This is
-        the pinning hook snapshot
-        readers use (:meth:`repro.concurrent.engine.ConcurrentLTree
-        .snapshot`): the returned triple is immutable with respect to
-        later writes, so a reader can answer label/order/containment
-        queries off it with no locks against live writers.
+        Labels alone give document order and containment, so no link
+        column or free list is copied: 17 bytes per slot for int64
+        columns.  Each column keeps the form it is held in — an
+        ``array('q')`` (a reopened arena) is copied in one memcpy, a
+        list (a bulk load, or a column promoted near the int64 rim) as
+        a list of the same exact ints — so nothing is packed.  A
+        still-lazy shard's three column ranges are copied out of its
+        possibly mmapped image, because a later save may hand the freed
+        span to a new image; the label column and live list a reader
+        already decoded or derived are shared, both immutable.  A
+        materialized shard's live list is left ``None`` and derived on
+        first read (:meth:`_Shard.live_leaves`), outside the writer
+        mutex.  The meta is O(1).  Later writes never reach the pinned
+        shard, so readers answer label, order and containment queries
+        off it with no locks.
         """
         shard = self._shard_by_id(shard_id)
         meta = {"height": shard.height, "n_leaves": shard.n_leaves,
                 "tombstones": shard.tombstone_count()}
         meta["live"] = meta["n_leaves"] - meta["tombstones"]
-        if shard.is_lazy:
-            image = shard.image
-            if not isinstance(image, bytes):
-                # a memoryview into the store's mmap aliases the file:
-                # once a save frees the span, a later save may reuse
-                # its pages and mutate the "immutable" pin under a
-                # zero-lock reader.  The pin must own its bytes.
-                image = bytes(image)
-            return image, shard.live, meta
-        return shard.tree.to_bytes(include_payloads=False), None, meta
+        tree = shard.tree
+        if tree is not None:
+            return _Shard.pinned(tree._num[:], tree._height[:],
+                                 bytes(tree._deleted), None, meta)
+        return _Shard.pinned(shard.num_column(), shard._height_column(),
+                             bytes(shard._deleted), shard.live, meta)
 
     # ------------------------------------------------------------------
     # persistence (one LTREEARR blob span per shard + manifest)
@@ -1358,7 +1407,9 @@ class ShardedCompactLTree:
         manifest CRC, and deserialized on first write — see the module
         docstring.  ``lazy=False`` materializes everything immediately.
         A manifest of any format but :data:`MANIFEST_FORMAT_VERSION`
-        raises :class:`ParameterError` naming its format.
+        raises :class:`ParameterError` naming its format, and one that
+        lacks a key (at the top level, in a shard entry or in the
+        forwarding spec) raises it naming the blob and the key.
         """
         manifest = json.loads(bytes(store.get_blob(name)).decode("utf-8"))
         if manifest.get("kind") != MANIFEST_KIND:
@@ -1370,6 +1421,7 @@ class ShardedCompactLTree:
             raise ParameterError(
                 f"unsupported sharded manifest format {version!r} "
                 f"(supported: {MANIFEST_FORMAT_VERSION})")
+        _require(manifest, _MANIFEST_KEYS, f"manifest {name!r}")
         params = LTreeParams(f=manifest["f"], s=manifest["s"],
                              label_base=manifest["label_base"])
         tree = cls.__new__(cls)
@@ -1383,7 +1435,9 @@ class ShardedCompactLTree:
         tree.shard_merges = manifest["shard_merges"]
         ids: list[int] = []
         shards: dict[int, _Shard] = {}
-        for entry in manifest["shards"]:
+        for rank, entry in enumerate(manifest["shards"]):
+            _require(entry, _SHARD_ENTRY_KEYS,
+                     f"shard entry {rank} of manifest {name!r}")
             sid = entry["id"]
             sink = Counters() if shard_stats else stats
             image = store.get_blob(entry["blob"],
@@ -1404,7 +1458,7 @@ class ShardedCompactLTree:
                 raise ParameterError(
                     f"shard image {entry['blob']!r} disagrees with the "
                     f"manifest parameters")
-            shard = _Shard.lazy(image, None, entry, sink)
+            shard = _Shard.lazy(image, entry, sink)
             if not lazy:
                 shard.materialize()
             ids.append(sid)
@@ -1415,7 +1469,8 @@ class ShardedCompactLTree:
         if len(shards) != len(ids):
             raise ParameterError(
                 f"manifest {name!r} repeats shard ids")
-        tree._forwarding = _load_forwarding(store, manifest["forwarding"])
+        tree._forwarding = _load_forwarding(store, manifest["forwarding"],
+                                            name)
         tree._next_shard_id = manifest["next_shard_id"]
         tree._dir = _Directory(manifest["epoch"], ids, shards, params.base,
                                height=manifest["directory_height"])

@@ -12,10 +12,10 @@ tuple-at-a-time over boxed Python triples; this module executes it as
 * a :class:`ColumnarStore` shreds a labeled document once into
   per-element ``(begin, end, level)`` columns plus a per-tag position
   index.  Inputs come from the document's label reads, or, for
-  lock-free reads under live writers, the frozen per-shard byte
-  images of a pinned :class:`repro.concurrent.engine.LabelSnapshot`
-  via its ``label_column(shard_id)`` hook — one column decode per
-  shard;
+  lock-free reads under live writers, the pinned per-shard label
+  columns of a :class:`repro.concurrent.engine.LabelSnapshot` via its
+  ``label_column(shard_id)`` hook — one column per shard, read
+  without a copy;
 * :func:`evaluate_columnar` runs each axis step as one vectorized
   containment pass: context intervals sorted by ``begin``, a running
   ``maximum.accumulate`` over their ``end``s, and one ``searchsorted``
@@ -217,9 +217,9 @@ class ColumnarStore:
 
         One structural DOM pass collects each element's ``(shard_id,
         slot)`` handles; labels are then gathered off the snapshot's
-        frozen per-shard byte images through
+        pinned per-shard label columns through
         :meth:`~repro.concurrent.engine.LabelSnapshot.label_column` —
-        one column decode per shard, composed with the pinned stride.
+        one column per shard, composed with the pinned stride.
         No locks are taken and the live engine is never consulted, so
         the resulting store (and every query over it) is immune to
         concurrent writers — including online shard rebalancing: the

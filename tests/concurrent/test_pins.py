@@ -1,10 +1,11 @@
 """Snapshot pins: what ``ConcurrentLTree.snapshot()`` copies and defers.
 
-A pin of a shard written since the last pin carries only the shard's
-byte image: its live-leaf list is derived from that image's columns on
-the first read that needs it, outside the writer mutex.  A still-lazy
-shard is pinned with its stored image, plus the live list a reader of
-the engine already derived from it, if any.  The tests hold every
+A pin of a shard written since the last pin carries only copies of the
+shard's label, height and tombstone columns: its live-leaf list is
+derived from them on the first read that needs it, outside the writer
+mutex.  A still-lazy shard is pinned with the same three columns copied
+out of its stored image, plus the live list a reader of the engine
+already derived from it, if any.  The tests hold every
 deferred view — ``handles()``, ``labels()``,
 ``label_map()``, ``n_live`` — equal to the engine's at pin time, for
 both kinds of shard, and unchanged by writes, a split and a merge that
@@ -14,13 +15,22 @@ engine's own per-shard write versions, which ``compact()`` bumps.
 
 import sys
 import threading
+from array import array
 
 import pytest
 
 from repro.concurrent.engine import ConcurrentLTree
+from repro.core import vectorized
+from repro.core.compact import CompactLTree
 from repro.core.params import LTreeParams
 from repro.core.sharded import ShardedCompactLTree
+from repro.labeling.scheme import LabeledDocument
+from repro.order.sharded_list import ShardedListLabeling
+from repro.query.columnar import ColumnarStore, evaluate_columnar
+from repro.query.engine import evaluate_dom
 from repro.storage.pages import PageStore
+from repro.workloads.queries import xpath_battery
+from repro.xml.generator import xmark_like
 
 PARAMS = LTreeParams(f=8, s=2)
 
@@ -194,3 +204,126 @@ class TestPinnedShardCache:
         assert _pinned_view(after) == _engine_view(tree)
         assert after.n_live == live_before
         assert tree.tombstone_count() == 0
+
+
+@pytest.fixture(params=["array", "list"])
+def written_tree(request, tmp_path):
+    """A ConcurrentLTree over a two-shard engine whose arenas hold
+    ``array('q')`` columns (reopened) or plain lists (bulk loaded)."""
+    engine = ShardedCompactLTree(PARAMS, n_shards=2)
+    engine.bulk_load([f"p{i}" for i in range(400)])
+    if request.param == "array":
+        path = str(tmp_path / "columns.ltp")
+        with PageStore(path) as store:
+            engine.save(store)
+            engine = ShardedCompactLTree.load(store, lazy=False)
+    column_type = array if request.param == "array" else list
+    for sid in engine.shard_ids:
+        tree = engine._dir.shards[sid].tree
+        assert type(tree._num) is column_type
+        assert type(tree._height) is column_type
+    return ConcurrentLTree(engine)
+
+
+class TestPinOwnsItsColumns:
+    """Each pinned column is a copy: a write that changes that column
+    in the engine after the pin leaves the pinned view unchanged."""
+
+    def test_relabel_leaves_pinned_labels(self, written_tree):
+        tree = written_tree
+        sid = tree.shard_ids[0]
+        snapshot = tree.snapshot()
+        column = list(snapshot.label_column(sid))
+        live = list(snapshot._shards[0].live_slots())
+        labels = snapshot.labels()
+        anchor = (sid, live[len(live) // 2])
+        for step in range(60):
+            tree.insert_after(anchor, ("dense", step))
+        engine_column = tree.engine._dir.shards[sid].tree._num
+        assert any(engine_column[slot] != column[slot] for slot in live)
+        assert list(snapshot.label_column(sid)) == column
+        assert snapshot.labels() == labels
+
+    def test_new_leaves_leave_pinned_leaf_order(self, written_tree):
+        tree = written_tree
+        sid = tree.shard_ids[0]
+        expected = _engine_view(tree)
+        leaves = tree.n_leaves
+        snapshot = tree.snapshot()
+        assert all(shard.live is None for shard in snapshot._shards)
+        _write_into(tree, sid, n_inserts=40)
+        assert tree.n_leaves == leaves + 40
+        assert _pinned_view(snapshot) == expected
+
+    def test_mark_deleted_leaves_pinned_tombstones(self, written_tree):
+        tree = written_tree
+        expected = _engine_view(tree)
+        snapshot = tree.snapshot()
+        victims = expected[0][::37]
+        for victim in victims:
+            tree.mark_deleted(victim)
+        assert all(tree.is_deleted(victim) for victim in victims)
+        assert not any(snapshot.is_deleted(victim) for victim in victims)
+        assert [snapshot.label(victim) for victim in victims] == \
+            [expected[2][victim] for victim in victims]
+        assert _pinned_view(snapshot) == expected
+
+    def test_pin_copies_three_columns_and_never_packs(self, written_tree,
+                                                      monkeypatch):
+        """A written shard is pinned as copies of its label, height and
+        tombstone columns, each in the form the engine holds it, with
+        no ``to_bytes`` image, link column or free list."""
+        tree = written_tree
+        for sid in tree.shard_ids:
+            _write_into(tree, sid, n_inserts=5)
+        calls = []
+        original = CompactLTree.to_bytes
+
+        def counting(self, *args, **kwargs):
+            calls.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompactLTree, "to_bytes", counting)
+        snapshot = tree.snapshot()
+        assert calls == []
+        for sid, pinned in zip(snapshot.ids, snapshot._shards):
+            engine = tree.engine._dir.shards[sid].tree
+            assert pinned.tree is None and pinned.image is None
+            for copy, source in ((pinned._num, engine._num),
+                                 (pinned._height, engine._height)):
+                assert type(copy) is type(source) and copy is not source
+                assert list(copy) == list(source)
+            assert type(pinned._deleted) is bytes
+            assert pinned._deleted == bytes(engine._deleted)
+
+
+class TestPinPastInt64:
+    """The engine holds labels past int64 as exact ints; a pin copies
+    them as they are."""
+
+    WIDE = LTreeParams(f=4, s=2, label_base=2 ** 40)
+
+    def test_pinned_labels_equal_engine(self):
+        engine = ShardedCompactLTree(self.WIDE, n_shards=2)
+        engine.bulk_load(range(500))
+        tree = ConcurrentLTree(engine)
+        snapshot = tree.snapshot()
+        labels = snapshot.labels()
+        assert max(labels).bit_length() > 64
+        assert labels == tree.labels(include_deleted=False)
+        assert snapshot.label_map() == tree.label_map()
+
+    @pytest.mark.parametrize(
+        "backend", ["array"] + (["numpy"] if vectorized.HAS_NUMPY else []))
+    def test_columnar_pin_answers_like_the_dom(self, backend):
+        labeled = LabeledDocument(
+            xmark_like(25, 12, 9, seed=31),
+            scheme=ShardedListLabeling(self.WIDE, n_shards=2))
+        labeled.scheme.tree = ConcurrentLTree(labeled.scheme.tree)
+        snapshot = labeled.scheme.tree.snapshot()
+        assert max(snapshot.labels()).bit_length() > 64
+        with vectorized.use_backend(backend):
+            store = ColumnarStore.from_snapshot(labeled, snapshot)
+            for query in xpath_battery(labeled.document, 8, seed=32):
+                assert [id(e) for e in evaluate_columnar(store, query)] == \
+                    [id(e) for e in evaluate_dom(labeled.document, query)]

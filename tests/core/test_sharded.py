@@ -377,6 +377,63 @@ class TestPersistence:
             with pytest.raises(ParameterError, match="manifest"):
                 ShardedCompactLTree.load(store)
 
+    @pytest.mark.parametrize("record, key", [
+        *(("manifest", key) for key in (
+            "f", "s", "label_base", "violator_policy", "n_shards",
+            "epoch", "next_shard_id", "directory_height",
+            "directory_rebuilds", "shard_splits", "shard_merges",
+            "forwarding", "shards")),
+        *(("shard", key) for key in (
+            "id", "blob", "checksum", "height", "n_leaves", "tombstones",
+            "live")),
+        *(("forwarding", key) for key in ("blob", "checksum", "entries")),
+    ])
+    def test_manifest_missing_key_checked(self, tmp_path, record, key):
+        """A manifest that lacks a key load reads — at the top level, in
+        a shard entry or in the forwarding spec — raises a typed error
+        naming the blob and the key, not a bare KeyError."""
+        tree, _ = _sharded(24, 3)
+        tree.split_shard(1, 4)
+        path = str(tmp_path / "keys.ltp")
+        with PageStore(path) as store:
+            tree.save(store)
+            manifest = json.loads(bytes(store.get_blob("scheme")))
+            target = {"manifest": manifest,
+                      "shard": manifest["shards"][1],
+                      "forwarding": manifest["forwarding"]}[record]
+            del target[key]
+            store.put_blob("scheme", json.dumps(manifest).encode())
+            with pytest.raises(ParameterError,
+                               match=f"'scheme'.* lacks the key '{key}'"):
+                ShardedCompactLTree.load(store)
+
+    @pytest.mark.parametrize("opener", ["labeled", "service"])
+    def test_manifest_missing_key_checked_on_document_open(self, tmp_path,
+                                                           opener):
+        from repro.concurrent.service import PAGES_FILE, ConcurrentDocument
+        from repro.labeling.scheme import LabeledDocument
+        from repro.order.registry import make_scheme
+        from repro.xml.parser import parse
+
+        if opener == "labeled":
+            path = str(tmp_path / "doc.ltp")
+            LabeledDocument(parse("<a><b/><c><d/></c></a>"),
+                            scheme=make_scheme("ltree-sharded")).save(path)
+            reopen = lambda: LabeledDocument.open(path)     # noqa: E731
+        else:
+            directory = str(tmp_path / "svc")
+            path = str(tmp_path / "svc" / PAGES_FILE)
+            with ConcurrentDocument.create(directory, n_shards=2) as doc:
+                doc.bulk_load([f"p{i}" for i in range(16)])
+                doc.checkpoint()
+            reopen = lambda: ConcurrentDocument.open(directory)  # noqa
+        with PageStore(path) as store:
+            manifest = json.loads(bytes(store.get_blob("scheme")))
+            del manifest["epoch"]
+            store.put_blob("scheme", json.dumps(manifest).encode())
+        with pytest.raises(ParameterError, match="lacks the key 'epoch'"):
+            reopen()
+
     def test_manifest_format_checked(self, tmp_path):
         """Formats 1 and 2 (rank-ordered shards, live-leaf sidecars, a
         JSON forwarding list) are no longer read: a manifest that names
@@ -918,17 +975,17 @@ class TestWriteVersions:
         assert tree.tombstone_count() == 0
 
     def test_shard_image_after_compact(self):
-        """A materialized shard's image comes without a leaf walk (no
+        """A materialized shard's pin comes without a leaf walk (no
         live list), and its O(1) meta is the compacted shape."""
         tree, handles = _sharded(40, 2)
         for handle in handles[::4]:
             tree.mark_deleted(handle)
         tree.compact()
         for sid in tree.shard_ids:
-            _image, live, meta = tree.shard_image(sid)
-            assert live is None                  # materialized: no walk
-            assert meta["tombstones"] == 0
-            assert meta["n_leaves"] == 15
+            pinned = tree.pin_shard(sid)
+            assert pinned.live is None           # materialized: no walk
+            assert pinned.tombstone_count() == 0
+            assert pinned.n_leaves == 15
 
 
 class TestRebalancePersistence:

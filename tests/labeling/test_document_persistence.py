@@ -431,7 +431,7 @@ class TestConcurrentOpen:
         try:
             snap = reopened.scheme.tree.snapshot()
             assert snap.labels() == reopened.labels_in_order()
-            # region containment answered off the pinned images
+            # region containment answered off the pinned columns
             root = reopened.document.root
             child = next(iter(root.child_elements()))
             assert snap.contains((root.begin, root.end),
